@@ -256,8 +256,10 @@ fn main() {
 
     // Bit-identity: the parallel scan must agree with the single-thread
     // scalar reference, bit for bit, on every backend the host carries.
-    // Thread count 7 never divides the toy geometry evenly, so the
-    // ragged tail partition is always exercised.
+    // Thread count 7 never divides a geometry evenly; at `--records 2^20`
+    // that exercises the ragged tail partition (the default toy database
+    // is below the D0 split's bytes-per-thread gate and scans
+    // sequentially there).
     let mut kinds = vec![BackendKind::Scalar, BackendKind::Optimized];
     if simd_available() {
         kinds.push(BackendKind::Simd);

@@ -13,8 +13,9 @@
 //! * [`rgsw`] — RGSW ciphertexts and the external product `⊡` with its
 //!   `Dcp` pipeline (iNTT → iCRT → bit-extraction → NTT → gadget GEMM,
 //!   Fig. 3).
-//! * [`subs`] — the substitution operation `Subs(ct, r)` built from a
-//!   coefficient automorphism and gadget key-switching (§II-D).
+//! * [`subs`] — the substitution operation `Subs(ct, r)` built from an
+//!   NTT-domain automorphism (a slot permutation) and gadget
+//!   key-switching (§II-D).
 //! * [`convert`] — server-side BFV→RGSW conversion (the \[34\] trick the
 //!   packed query relies on, §II-C).
 //! * [`modswitch`] — modulus switching for 4× response compression.

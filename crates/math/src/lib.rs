@@ -22,7 +22,7 @@
 //! * [`arena`] — reusable scratch buffers ([`arena::KernelArena`]) that
 //!   keep the allocator off the per-query hot path.
 //! * [`poly`] — schoolbook negacyclic arithmetic used as a test oracle, and
-//!   coefficient-domain automorphisms (`X -> X^r`).
+//!   the automorphism (`X -> X^r`) index maps in coefficient and NTT form.
 //! * [`wide`] — minimal 256-bit helpers for exact BFV decoding.
 //!
 //! # Example

@@ -1,8 +1,10 @@
 //! Plain (single-modulus) negacyclic polynomial helpers.
 //!
 //! These are the reference oracles the NTT/RNS fast paths are validated
-//! against, plus the coefficient-domain automorphism used by `Subs` (§II-D).
+//! against, plus the automorphism index maps: the coefficient-domain one
+//! and the NTT-slot permutation `Subs` applies (§II-D).
 
+use crate::bit_reverse;
 use crate::reduce::{add_mod, mul_mod, neg_mod, sub_mod};
 
 /// Schoolbook negacyclic product in `Z_q[X]/(X^n + 1)`. `O(n^2)`; test
@@ -74,6 +76,30 @@ pub fn automorphism_map(n: usize, r: usize) -> Vec<(usize, bool)> {
         }
     }
     map
+}
+
+/// The automorphism `τ_r` on NTT slots: output slot `j` reads input slot
+/// `map[j]`.
+///
+/// The negacyclic NTT stores the evaluation at `ψ^{2·brv(j)+1}` in slot `j`
+/// (bit-reversed order), and `τ_r(a)(ψ^e) = a(ψ^{e·r})`, so slot `j` reads
+/// slot `brv(((2·brv(j)+1)·r mod 2N − 1)/2)`. The map is a pure
+/// permutation — no sign flips — and depends only on `n` and `r`, so one
+/// map serves every residue prime.
+///
+/// # Panics
+/// Panics if `r` is even or `n` is not a power of two.
+pub fn automorphism_ntt_map(n: usize, r: usize) -> Vec<usize> {
+    assert!(n.is_power_of_two());
+    assert!(r % 2 == 1, "automorphism exponent must be odd");
+    let log_n = n.trailing_zeros();
+    let two_n = 2 * n;
+    (0..n)
+        .map(|j| {
+            let e = (2 * bit_reverse(j, log_n) + 1) * (r % two_n) % two_n;
+            bit_reverse((e - 1) / 2, log_n)
+        })
+        .collect()
 }
 
 /// Applies a precomputed automorphism map.

@@ -130,8 +130,11 @@ impl RnsBasis {
         assert_eq!(residues.len(), self.len());
         let mut acc: u128 = 0;
         for (i, &r) in residues.iter().enumerate() {
+            // `scaled < q_i` and `qi_hat = Q / q_i`, so the term is at most
+            // `(q_i − 1)·Q/q_i < Q`: no reduction needed, and `acc + term`
+            // stays below `2Q < 2^121` before the conditional subtraction.
             let scaled = self.moduli[i].mul(r, self.qi_hat_inv[i]);
-            acc += scaled as u128 * self.qi_hat[i] % self.q_big;
+            acc += scaled as u128 * self.qi_hat[i];
             if acc >= self.q_big {
                 acc -= self.q_big;
             }
@@ -587,6 +590,31 @@ impl RnsPoly {
         Ok(out)
     }
 
+    /// Applies the automorphism `X -> X^r` in NTT form: every limb row is
+    /// permuted by `map` (from [`poly::automorphism_ntt_map`]) into `out`,
+    /// a residue-major buffer of `k · n` words. No transform is needed.
+    ///
+    /// # Errors
+    /// Fails when the polynomial is in coefficient form.
+    ///
+    /// # Panics
+    /// Panics if `map.len() != n` or `out.len() != k · n`.
+    pub fn automorphism_ntt_into(&self, map: &[usize], out: &mut [u64]) -> Result<(), MathError> {
+        if self.form != Form::Ntt {
+            return Err(MathError::FormMismatch("NTT-domain automorphism requires NTT form"));
+        }
+        let n = self.ctx.n();
+        assert_eq!(map.len(), n);
+        assert_eq!(out.len(), self.coeffs.len());
+        for (dst, src) in out.chunks_exact_mut(n).zip(self.coeffs.chunks_exact(n)) {
+            for (d, &j) in dst.iter_mut().zip(map) {
+                *d = src[j];
+            }
+        }
+        crate::metrics::count_auto_coeffs(self.coeffs.len() as u64);
+        Ok(())
+    }
+
     /// Reconstructs wide coefficients via iCRT (coefficient form only).
     ///
     /// # Errors
@@ -899,6 +927,72 @@ mod tests {
         }
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(basis.from_residues_strided(&words, n, i), v);
+        }
+    }
+
+    #[test]
+    fn icrt_without_wide_reduction_matches_reduced_formula() {
+        // The term `scaled · Q/q_i` is already `< Q`; dropping its `% Q`
+        // must not change a single reconstructed value.
+        let reference = |basis: &RnsBasis, residues: &[u64]| {
+            let q = basis.q_big();
+            let mut acc: u128 = 0;
+            for (i, &r) in residues.iter().enumerate() {
+                let scaled = basis.moduli[i].mul(r, basis.qi_hat_inv[i]);
+                acc += scaled as u128 * basis.qi_hat[i] % q;
+                if acc >= q {
+                    acc -= q;
+                }
+            }
+            acc
+        };
+        let toy = RnsBasis::new(Modulus::special_primes()[..3].to_vec()).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        for basis in [toy, RnsBasis::paper_basis()] {
+            let q = basis.q_big();
+            let edges = [0, 1, q - 1, q / 2, q / 2 + 1];
+            let random = (0..500).map(|_| rng.gen::<u128>() % q).collect::<Vec<_>>();
+            for x in edges.into_iter().chain(random) {
+                let rs = basis.to_residues(x);
+                assert_eq!(basis.from_residues(&rs), reference(&basis, &rs));
+                assert_eq!(basis.from_residues(&rs), x);
+            }
+            // Maximal residues (q_i − 1 everywhere) stress the accumulator.
+            let top: Vec<u64> = basis.moduli().iter().map(|m| m.value() - 1).collect();
+            assert_eq!(basis.from_residues(&top), reference(&basis, &top));
+        }
+    }
+
+    #[test]
+    fn ntt_domain_automorphism_matches_coefficient_path() {
+        // Every expansion exponent N/2^j + 1 (plus the identity and the
+        // extremes 3 and 2N − 1), at the toy degree and the paper degree,
+        // over all four special primes.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        for n in [256usize, 1 << 12] {
+            let ctx = RingContext::test_ring(n, 4);
+            let a = RnsPoly::sample_uniform(&ctx, Form::Coeff, &mut rng);
+            let mut a_ntt = a.clone();
+            a_ntt.to_ntt();
+            let expansion = (0..n.trailing_zeros()).map(|j| n / (1 << j) + 1);
+            for r in expansion.chain([1, 3, 2 * n - 1]) {
+                let mut expect = a.automorphism(r).unwrap();
+                expect.to_ntt();
+                let map = poly::automorphism_ntt_map(n, r);
+                let mut got = vec![0u64; a.as_words().len()];
+                a_ntt.automorphism_ntt_into(&map, &mut got).unwrap();
+                for m in 0..4 {
+                    assert_eq!(
+                        &got[m * n..(m + 1) * n],
+                        expect.residue(m),
+                        "n={n} r={r} modulus {m}"
+                    );
+                }
+            }
+            // Coefficient-form input is rejected.
+            let map = poly::automorphism_ntt_map(n, 3);
+            let mut out = vec![0u64; a.as_words().len()];
+            assert!(a.automorphism_ntt_into(&map, &mut out).is_err());
         }
     }
 

@@ -35,6 +35,28 @@ pub fn x_neg_pow_ntt(he: &HeParams, t: usize) -> RnsPoly {
     p
 }
 
+/// Subs work (ring words × key switches) a subtree must carry before it
+/// gets a thread of its own: about eight key switches at the paper ring,
+/// hundreds of times a thread spawn. The N = 256 toy ring never reaches
+/// it, so toy expansions stay on the caller.
+const EXPAND_MIN_WORDS_PER_SUBTREE: usize = 1 << 17;
+
+/// How many levels run on the caller before the expansion tree splits into
+/// `2^s` independent subtrees, one per thread: `s = min(⌊log₂ threads⌋,
+/// levels − 1)`, lowered until every subtree carries
+/// [`EXPAND_MIN_WORDS_PER_SUBTREE`]. `0` keeps the whole tree sequential.
+pub(crate) fn expand_split_levels(he: &HeParams, levels: u32, threads: usize) -> u32 {
+    if levels < 2 || threads < 2 {
+        return 0;
+    }
+    let words = he.ring().basis().len() * he.n();
+    let mut s = threads.ilog2().min(levels - 1);
+    while s > 0 && ((1usize << (levels - s)) - 1) * words < EXPAND_MIN_WORDS_PER_SUBTREE {
+        s -= 1;
+    }
+    s
+}
+
 /// Expands the packed query into `2^levels` ciphertexts; output slot `i`
 /// encrypts (the pre-scaled image of) coefficient `i` of the query
 /// polynomial.
@@ -49,11 +71,26 @@ pub fn expand_query(
     keys: &[SubsKey],
     levels: u32,
 ) -> Result<Vec<BfvCiphertext>, PirError> {
-    expand_query_with(he, query, keys, levels, kernel::default_backend(), &mut KernelArena::new())
+    expand_query_with(
+        he,
+        query,
+        keys,
+        levels,
+        1,
+        kernel::default_backend(),
+        &mut KernelArena::new(),
+    )
 }
 
-/// [`expand_query`] through an explicit kernel backend, with the
-/// key-switch `Dcp` scratch drawn from `arena` (the serving path).
+/// [`expand_query`] on up to `threads` threads, through an explicit kernel
+/// backend, with the caller's key-switch scratch drawn from `arena` (the
+/// serving path).
+///
+/// The first `s` levels run on the caller; the `2^s` subtrees below them
+/// are independent and run on scoped threads, each with its own
+/// [`KernelArena`] (the first subtree stays on the caller and its arena).
+/// Concatenated in order they are exactly the sequential tree's leaves, so
+/// the output is bit-identical for every thread count.
 ///
 /// # Errors
 /// Fails when too few keys are supplied or a key exponent mismatches.
@@ -62,6 +99,7 @@ pub fn expand_query_with(
     query: &BfvCiphertext,
     keys: &[SubsKey],
     levels: u32,
+    threads: usize,
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
 ) -> Result<Vec<BfvCiphertext>, PirError> {
@@ -79,21 +117,34 @@ pub fn expand_query_with(
         }
     }
 
-    let mut cts = vec![query.clone()];
-    for (j, key) in keys.iter().enumerate().take(levels as usize) {
-        let x_inv = x_neg_pow_ntt(he, 1 << j);
-        let mut next = Vec::with_capacity(cts.len() * 2);
-        for ct in &cts {
-            let sub = key.apply_with(he, ct, backend, arena)?;
-            let mut even = ct.clone();
-            even.add_assign(&sub)?;
-            let mut odd = ct.clone();
-            odd.sub_assign(&sub)?;
-            odd.mul_plain_assign_with(&x_inv, backend)?;
-            next.push(even);
-            next.push(odd);
-        }
-        cts = next;
+    // The odd-branch monomials, shared by every subtree.
+    let x_inv: Vec<RnsPoly> = (0..levels).map(|j| x_neg_pow_ntt(he, 1 << j)).collect();
+    let split = expand_split_levels(he, levels, threads) as usize;
+    let levels = levels as usize;
+    let subtree = |root: BfvCiphertext, arena: &mut KernelArena| {
+        expand_levels(he, vec![root], keys, &x_inv, split..levels, backend, arena)
+    };
+    let mut roots =
+        expand_levels(he, vec![query.clone()], keys, &x_inv, 0..split, backend, arena)?.into_iter();
+    let first = roots.next().expect("the top levels leave 2^split >= 1 roots");
+    let subtrees = std::thread::scope(|scope| {
+        let workers: Vec<_> = roots
+            .map(|root| {
+                let subtree = &subtree;
+                scope.spawn(move || subtree(root, &mut KernelArena::new()))
+            })
+            .collect();
+        let mut done = vec![subtree(first, arena)];
+        done.extend(
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))),
+        );
+        done
+    });
+    let mut cts = Vec::with_capacity(1 << levels);
+    for leaves in subtrees {
+        cts.extend(leaves?);
     }
 
     // The DFS push order interleaves index bits MSB-first; undo with a
@@ -101,10 +152,39 @@ pub fn expand_query_with(
     let mut out: Vec<Option<BfvCiphertext>> = cts.into_iter().map(Some).collect();
     let mut reordered = Vec::with_capacity(out.len());
     for i in 0..out.len() {
-        let src = bit_reverse(i, levels);
+        let src = bit_reverse(i, levels as u32);
         reordered.push(out[src].take().expect("permutation visits each slot once"));
     }
     Ok(reordered)
+}
+
+/// Runs expansion levels `range` over `cts`: every ciphertext splits into
+/// its even branch `ct + Subs(ct)` and odd branch `(ct − Subs(ct))·X^{-2^j}`,
+/// pushed in that order.
+fn expand_levels(
+    he: &HeParams,
+    mut cts: Vec<BfvCiphertext>,
+    keys: &[SubsKey],
+    x_inv: &[RnsPoly],
+    range: std::ops::Range<usize>,
+    backend: &dyn VpeBackend,
+    arena: &mut KernelArena,
+) -> Result<Vec<BfvCiphertext>, PirError> {
+    for j in range {
+        let mut next = Vec::with_capacity(cts.len() * 2);
+        for ct in &cts {
+            let sub = keys[j].apply_with(he, ct, backend, arena)?;
+            let mut even = ct.clone();
+            even.add_assign(&sub)?;
+            let mut odd = ct.clone();
+            odd.sub_assign(&sub)?;
+            odd.mul_plain_assign_with(&x_inv[j], backend)?;
+            next.push(even);
+            next.push(odd);
+        }
+        cts = next;
+    }
+    Ok(cts)
 }
 
 #[cfg(test)]
@@ -172,6 +252,41 @@ mod tests {
         let expanded = expand_query(&he, &query, &keys, levels).unwrap();
         for (i, ct) in expanded.iter().enumerate() {
             assert_eq!(ct.decrypt(&he, &sk).values()[0], payload[i], "slot {i}");
+        }
+    }
+
+    #[test]
+    fn expansion_is_identical_across_threads_and_backends() {
+        use ive_math::kernel::BackendKind;
+        let he = HeParams::toy();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(35);
+        let sk = SecretKey::generate(&he, &mut rng);
+        let levels = 3u32;
+        let keys: Vec<SubsKey> = expansion_exponents(he.n(), levels)
+            .iter()
+            .map(|&r| SubsKey::generate(&he, &sk, r, &mut rng))
+            .collect();
+        let mut coeffs = vec![0u64; he.n()];
+        coeffs[5] = 1;
+        let query = scaled_query(&he, &sk, levels, &coeffs, &mut rng);
+        let reference = expand_query(&he, &query, &keys, levels).unwrap();
+        let mut arena = KernelArena::new();
+        for backend in
+            [BackendKind::Scalar, BackendKind::Optimized, BackendKind::Simd, BackendKind::Avx512]
+        {
+            for threads in [1usize, 2, 3] {
+                let got = expand_query_with(
+                    &he,
+                    &query,
+                    &keys,
+                    levels,
+                    threads,
+                    backend.backend(),
+                    &mut arena,
+                )
+                .unwrap();
+                assert_eq!(got, reference, "{backend} backend at {threads} threads");
+            }
         }
     }
 

@@ -220,10 +220,21 @@ mod tests {
     // exercise sites no other test in this binary checks concurrently:
     // within `ive_pir`, only `Site::Fsync` is live (journal tests), so
     // everything here sticks to IoRead / WorkerCompute / EpochCommit.
+    // They also arm, configure and disarm the same registry as each
+    // other, so each one holds `SERIAL` for its whole body.
     use super::*;
+
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    /// Serializes this module's tests; a failed test must not poison the
+    /// lock for the rest.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn disarmed_registry_injects_nothing() {
+        let _serial = serial();
         disarm();
         assert!(!armed());
         for _ in 0..1000 {
@@ -234,6 +245,7 @@ mod tests {
 
     #[test]
     fn seeded_injection_sequence_is_reproducible_and_probability_scales() {
+        let _serial = serial();
         let run = |seed: u64, prob: f64| {
             arm(seed);
             set(Site::IoRead, prob, Action::Error);
@@ -256,6 +268,7 @@ mod tests {
 
     #[test]
     fn actions_map_to_their_io_and_panic_shapes() {
+        let _serial = serial();
         arm(1);
         set(Site::IoRead, 1.0, Action::Error);
         let err = fail_io(Site::IoRead).expect_err("must inject");

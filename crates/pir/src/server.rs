@@ -21,10 +21,23 @@ use crate::PirError;
 /// Minimum rows per worker before sharding pays off.
 const ROWSEL_MIN_ROWS_PER_THREAD: usize = 8;
 
-/// Default `RowSel` parallelism: one worker per available core, so a lone
-/// server saturates the machine without oversubscribing it.
+/// Minimum database bytes per worker before the D0-split scan pays for
+/// its spawns and partial folds. The toy database (384 KiB) stays on one
+/// thread (on a 2-core host, two threads ran it at 0.73× the speed of
+/// one); a Table I slice has megabytes per worker.
+const ROWSEL_MIN_BYTES_PER_THREAD: usize = 4 << 20;
+
+/// Default compute parallelism per batch: one thread per available core,
+/// so a lone server saturates the machine without oversubscribing it.
 fn default_rowsel_threads() -> usize {
     std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+}
+
+/// Workers for the D0-split `RowSel` scan: at most `threads`, one per
+/// record slot, and only as many as the database feeds
+/// [`ROWSEL_MIN_BYTES_PER_THREAD`] each. `1` means scan sequentially.
+fn rowsel_d0_workers(threads: usize, d0: usize, db_bytes: usize) -> usize {
+    threads.min(d0).min(db_bytes / ROWSEL_MIN_BYTES_PER_THREAD).max(1)
 }
 
 /// A single-server PIR server holding one preprocessed database.
@@ -85,16 +98,20 @@ impl PirServer {
         self.order
     }
 
-    /// Caps `RowSel` parallelism at `threads` workers (clamped to ≥ 1).
+    /// Caps the compute threads of one query or batch at `threads`
+    /// (clamped to ≥ 1): each `ExpandQuery` splits into up to that many
+    /// subtrees, and the `RowSel` scan into up to that many workers. Both
+    /// stay sequential where the work is too small to pay for a thread
+    /// (the toy geometry), and answers are bit-identical at every count.
     ///
     /// Defaults to [`std::thread::available_parallelism`]; a serving
-    /// runtime that already runs its own worker pool should set this to 1
-    /// so the pools compose instead of oversubscribing cores.
+    /// runtime that runs its own worker pool sets cores / workers, so the
+    /// pools compose instead of oversubscribing cores.
     pub fn set_rowsel_threads(&mut self, threads: usize) {
         self.rowsel_threads = threads.max(1);
     }
 
-    /// The `RowSel` worker cap in effect.
+    /// The per-batch compute thread cap in effect (Expand and `RowSel`).
     #[inline]
     pub fn rowsel_threads(&self) -> usize {
         self.rowsel_threads
@@ -349,6 +366,7 @@ impl PirServer {
         };
 
         let threads = self.rowsel_threads;
+        let d0_workers = rowsel_d0_workers(threads, d0, db_bytes);
         if threads > 1 && rows >= threads * ROWSEL_MIN_ROWS_PER_THREAD {
             // Enough rows for every worker to own a disjoint row range of
             // the shared accumulator matrix: no reduction needed, and the
@@ -363,7 +381,7 @@ impl PirServer {
                     scope.spawn(move || scan(start, acc_chunk, 0..d0));
                 }
             });
-        } else if threads > 1 && d0 >= 2 && rows > 0 {
+        } else if d0_workers > 1 && rows > 0 {
             // Too few rows for disjoint row chunks: partition the record
             // (D0) dimension of the flat shard instead. Every worker
             // scans all rows over its own D0 range — the first range into
@@ -374,8 +392,7 @@ impl PirServer {
             // on canonical `[0, q)` words, so the reduced result is
             // bit-identical to the sequential left-to-right accumulation
             // (enforced by the thread-matrix differential tests).
-            let workers = threads.min(d0);
-            let chunk_d0 = d0.div_ceil(workers);
+            let chunk_d0 = d0.div_ceil(d0_workers);
             let spawned = d0.div_ceil(chunk_d0) - 1;
             let (acc, partials) = scratch.acc_and_partials(spawned);
             std::thread::scope(|scope| {
@@ -418,7 +435,7 @@ impl PirServer {
     }
 
     /// `ExpandQuery` with caller-owned scratch for the key-switch `Dcp`
-    /// buffers.
+    /// buffers, split across up to [`PirServer::rowsel_threads`] threads.
     ///
     /// # Errors
     /// Fails when the client registered too few expansion keys.
@@ -433,6 +450,7 @@ impl PirServer {
             query.packed(),
             keys.subs_keys(),
             self.params.log_d0(),
+            self.rowsel_threads,
             self.backend.backend(),
             &mut scratch.arena,
         )
@@ -663,6 +681,31 @@ mod tests {
         let mut expanded = server.expand(client.public_keys(), &query).unwrap();
         expanded[0].a.to_coeff();
         assert!(matches!(server.row_sel(&expanded), Err(PirError::InvalidParams(_))));
+    }
+
+    #[test]
+    fn split_gates_keep_the_toy_geometry_sequential() {
+        let toy = PirParams::toy();
+        let he = toy.he();
+        let toy_db_bytes = toy.num_records() * he.ring().basis().len() * he.n() * 8;
+        for threads in [2usize, 3, 4, 64] {
+            // Even the deepest tree the toy ring allows stays whole.
+            for levels in [toy.log_d0(), he.n().ilog2()] {
+                assert_eq!(crate::expand::expand_split_levels(he, levels, threads), 0);
+            }
+            assert_eq!(rowsel_d0_workers(threads, toy.d0(), toy_db_bytes), 1);
+        }
+        // Table I splits Expand into one subtree per thread (up to
+        // 2^(levels−1)) and the 64 MiB scan into one D0 range per thread.
+        let paper = ive_he::HeParams::paper();
+        assert_eq!(crate::expand::expand_split_levels(&paper, 8, 1), 0);
+        assert_eq!(crate::expand::expand_split_levels(&paper, 8, 2), 1);
+        assert_eq!(crate::expand::expand_split_levels(&paper, 8, 3), 1);
+        assert_eq!(crate::expand::expand_split_levels(&paper, 8, 4), 2);
+        assert_eq!(crate::expand::expand_split_levels(&paper, 1, 4), 0);
+        assert_eq!(rowsel_d0_workers(2, 256, 64 << 20), 2);
+        assert_eq!(rowsel_d0_workers(3, 256, 64 << 20), 3);
+        assert_eq!(rowsel_d0_workers(1, 256, 64 << 20), 1);
     }
 
     #[test]

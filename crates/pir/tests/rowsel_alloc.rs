@@ -45,7 +45,11 @@ fn allocations() -> u64 {
 
 #[test]
 fn warm_row_sel_performs_zero_heap_allocations() {
-    let params = PirParams::toy();
+    // The toy ring with D0 = 256: a 12 MiB database, wide enough that the
+    // D0-split scan engages (up to 3 workers past its bytes-per-thread
+    // gate) where the 384 KiB `PirParams::toy()` database stays
+    // sequential at every thread count.
+    let params = PirParams::new(PirParams::toy().he().clone(), 256, 3).expect("valid geometry");
     let records: Vec<Vec<u8>> =
         (0..params.num_records()).map(|i| format!("alloc-test record {i}").into_bytes()).collect();
     let db = Database::from_records(&params, &records).expect("records fit");
@@ -102,7 +106,7 @@ fn warm_row_sel_performs_zero_heap_allocations() {
     // Two properties pin that down: repeated warm scans allocate the
     // same flat amount (no drift), and that amount is bounded by a small
     // per-thread constant (a per-record or per-element allocation over
-    // the 64-record toy database would blow far past it).
+    // the 2048-record database would blow far past it).
     server.set_backend(BackendKind::Optimized);
     for threads in [2usize, 4, 7] {
         server.set_rowsel_threads(threads);
@@ -140,8 +144,8 @@ fn warm_row_sel_performs_zero_heap_allocations() {
 
     // Bit-identity across the full matrix: every backend × thread count
     // must produce the same answer ciphertext as the single-thread
-    // scalar reference (7 never divides the toy geometry, so the ragged
-    // partition is exercised).
+    // scalar reference (4 and 7 threads clamp to 3 D0 ranges, which never
+    // divide D0 = 256, so the ragged partition is exercised).
     server.set_backend(BackendKind::Scalar);
     server.set_rowsel_threads(1);
     let reference = server.answer(client.public_keys(), &query).expect("reference answer");

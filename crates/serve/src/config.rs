@@ -41,9 +41,13 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Database sharding plan.
     pub shard: ShardPlan,
-    /// `RowSel` threads *inside* each `PirServer`: the row scan of every
-    /// batch splits across this many workers. Keep it at 1 when
-    /// `workers × shards` already covers the machine; the pools multiply.
+    /// Compute threads *inside* each `PirServer`, per batch: every
+    /// query's `ExpandQuery` splits into up to this many subtrees and the
+    /// `RowSel` scan into up to this many workers (both stay sequential
+    /// when the work is too small to pay for a thread). The default is
+    /// `cores / workers`, so `workers × rowsel_threads` covers the machine
+    /// once; the pools multiply, so lower it when `workers × shards`
+    /// already does.
     pub rowsel_threads: usize,
     /// `ColTor` traversal order used by every shard.
     pub order: TournamentOrder,
@@ -111,13 +115,14 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+        let workers = (cores / 2).max(1);
         ServeConfig {
             window: Duration::from_millis(4),
             max_batch: 8,
-            workers: (cores / 2).max(1),
+            workers,
             queue_depth: 64,
             shard: ShardPlan::Replicated,
-            rowsel_threads: 1,
+            rowsel_threads: (cores / workers).max(1),
             order: TournamentOrder::Hs { subtree_depth: 2 },
             backend: BackendKind::default(),
             max_sessions: 4096,
@@ -245,6 +250,15 @@ mod tests {
             .with_admission_ceiling(&slow, Duration::from_millis(100));
         assert_eq!(cfg.queue_depth, 3, "clamped to the worker count");
         cfg.validate().expect("derived config must validate");
+    }
+
+    #[test]
+    fn default_threads_cover_the_cores_once() {
+        let cores = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+        let cfg = ServeConfig::default();
+        assert_eq!(cfg.rowsel_threads, (cores / cfg.workers).max(1));
+        let used = cfg.workers * cfg.rowsel_threads;
+        assert!(used <= cores.max(1) && used + cfg.workers > cores, "{used} threads on {cores}");
     }
 
     #[test]

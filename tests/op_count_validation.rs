@@ -8,7 +8,7 @@
 //! process-global, and cargo gives each integration-test binary its own
 //! process.
 
-use ive::baselines::complexity::{external_product_ops, per_query_ops, Geometry};
+use ive::baselines::complexity::{external_product_ops, per_query_ops, subs_ops, Geometry};
 use ive::math::metrics;
 use ive::pir::{Database, PirClient, PirParams, PirServer};
 use rand::SeedableRng;
@@ -39,8 +39,27 @@ fn functional_op_counts_match_complexity_model() {
         PirClient::new(&params, rand_chacha::ChaCha8Rng::seed_from_u64(4242)).expect("keygen");
     let query = client.query(37).expect("in range");
 
-    // --- RowSel in isolation: the model's MAC count must be *exact*. ---
+    // --- Expand in isolation: NTT count is exact. Every Subs costs the
+    //     model's (1+ℓ)k (one iNTT of a_τ for Dcp, ℓ·k digit NTTs; τ_r is a
+    //     slot permutation), plus one k-NTT table X^{-2^j} per level for
+    //     the odd branches. -------------------------------------------
+    let before = metrics::snapshot();
     let expanded = server.expand(client.public_keys(), &query).expect("keys ok");
+    let expand = metrics::snapshot().delta_since(&before);
+    let levels = params.log_d0() as u64;
+    let tree_subs = (params.d0() - 1) as u64;
+    let odd_tables = levels * k as u64;
+    let expect_expand_ntts = tree_subs * subs_ops(&geom).residue_ntts as u64 + odd_tables;
+    assert_eq!(
+        expand.residue_ntts, expect_expand_ntts,
+        "Expand executed {} residue NTTs, structural count {}",
+        expand.residue_ntts, expect_expand_ntts
+    );
+    // Automorphisms: two per Subs (a and b), k·n slots each.
+    assert_eq!(expand.auto_coeffs as f64, model.expand.auto_coeffs);
+    assert_eq!(expand.auto_coeffs, tree_subs * (2 * k * n) as u64);
+
+    // --- RowSel in isolation: the model's MAC count must be *exact*. ---
     let before = metrics::snapshot();
     let rows = server.row_sel(&expanded).expect("shape ok");
     let rowsel = metrics::snapshot().delta_since(&before);
@@ -73,15 +92,16 @@ fn functional_op_counts_match_complexity_model() {
     metrics::reset();
     let _ = server.answer(client.public_keys(), &query).expect("pipeline");
     let full = metrics::snapshot();
-    // The model charges one decomposed polynomial per Subs where the
-    // implementation also round-trips `b` through coefficient form
-    // ((3+ℓ)k vs (1+ℓ)k NTTs per Subs), so totals agree within ~1.4x.
+    // The model's per-Subs and per-⊡ NTT counts are exact; the only
+    // executed NTTs it does not charge are the log2(D0)·k odd-branch
+    // tables (9 of 450 at toy parameters, a 2% excess).
     let model_ntts =
         model.expand.residue_ntts + model.rowsel.residue_ntts + model.coltor.residue_ntts;
+    assert_eq!(full.residue_ntts as f64, model_ntts + odd_tables as f64);
     let ratio = full.residue_ntts as f64 / model_ntts;
     assert!(
-        (0.9..1.45).contains(&ratio),
-        "executed {} residue NTTs vs model {model_ntts:.0} (ratio {ratio:.2})",
+        (1.0..1.05).contains(&ratio),
+        "executed {} residue NTTs vs model {model_ntts:.0} (ratio {ratio:.3})",
         full.residue_ntts
     );
     let model_macs = model.expand.gemm_macs + model.rowsel.gemm_macs + model.coltor.gemm_macs;
@@ -91,6 +111,5 @@ fn functional_op_counts_match_complexity_model() {
         "executed {} MACs vs model {model_macs:.0} (ratio {mac_ratio:.2})",
         full.pointwise_macs
     );
-    // Automorphisms: two per Subs (a and b), k·n coefficients each.
-    assert!(full.auto_coeffs > 0);
+    assert_eq!(full.auto_coeffs, expand.auto_coeffs, "only Expand moves automorphisms");
 }

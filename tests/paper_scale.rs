@@ -5,7 +5,7 @@
 use ive::he::noise;
 use ive::he::HeParams;
 use ive::pir::db::plaintext_from_bytes;
-use ive::pir::{Database, PirClient, PirParams, PirServer};
+use ive::pir::{BackendKind, Database, PirClient, PirParams, PirServer, QueryScratch};
 use rand::SeedableRng;
 
 /// Table I HE parameters over a reduced record count (D0 = 256, d = 2:
@@ -55,6 +55,48 @@ fn paper_parameters_end_to_end() {
         assert_eq!(compressed.byte_len(params.he()) * 2, params.he().ct_bytes());
         let plain2 = client.decode_compressed(&query, &compressed).expect("decrypts");
         assert_eq!(&plain2[..records[target].len()], &records[target][..]);
+    }
+}
+
+#[test]
+fn paper_parameters_answers_are_identical_across_thread_counts_and_backends() {
+    // At Table I the per-batch thread cap splits Expand into subtrees
+    // (2 and 3 threads: two subtrees) and the 16MB scan into D0 ranges
+    // (3 threads: a ragged partition). Neither may change a bit.
+    let params = paper_slice_params();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(20261017);
+    let target = 600;
+    let mut records = vec![Vec::new(); params.num_records()];
+    records[target] = b"split across threads".to_vec();
+    records[target + 1] = b"neighbour".to_vec();
+    let db = Database::from_records(&params, &records).expect("fits");
+    let mut server = PirServer::new(&params, db).expect("geometry matches");
+    let mut client = PirClient::new(&params, &mut rng).expect("keygen");
+    let query = client.query(target).expect("in range");
+    let keys = client.public_keys();
+
+    // `answer_with`'s steps, keeping the expansion to compare as well.
+    let pipeline = |server: &PirServer| {
+        let expanded = server.expand(keys, &query).expect("keys ok");
+        let rows = server.row_sel(&expanded).expect("shape ok");
+        let response =
+            server.col_tor_step_with(rows, &query, &mut QueryScratch::new()).expect("bits ok");
+        (expanded, response)
+    };
+
+    server.set_rowsel_threads(1);
+    let (expanded, reference) = pipeline(&server);
+    let plain = client.decode(&query, &reference).expect("decrypts");
+    assert_eq!(&plain[..records[target].len()], &records[target][..]);
+
+    for (threads, backend) in
+        [(2, BackendKind::Auto), (3, BackendKind::Auto), (2, BackendKind::Optimized)]
+    {
+        server.set_rowsel_threads(threads);
+        server.set_backend(backend);
+        let (got_expanded, got) = pipeline(&server);
+        assert!(got_expanded == expanded, "Expand diverged at {threads} threads on {backend}");
+        assert!(got == reference, "response diverged at {threads} threads on {backend}");
     }
 }
 
