@@ -46,14 +46,16 @@
 //! block's twiddle repeated `t` times), and re-interleaving on the way
 //! out. Rings with `n < 16` delegate to the optimized backend.
 //!
-//! **The fused scan kernel.** [`VpeBackend::scan_fma`] is overridden so
-//! the RowSel database scan loads each database cache line once and
-//! feeds both ciphertext accumulators from registers, with a software
-//! prefetch (`prefetcht0`) running one cache line per iteration ahead of
-//! the stream. `prefetchnta`/non-temporal loads were measured and
-//! rejected: the scan re-walks the same shard buffer every query, so
-//! keeping the stream eligible for LLC residency wins whenever the
-//! working set is hotter than DRAM.
+//! **The scan kernels.** [`VpeBackend::scan_fma`] is overridden so the
+//! reducing RowSel step loads each database cache line once and feeds
+//! both ciphertext accumulators from registers, with a `prefetcht0` one
+//! cache line ahead. [`VpeBackend::scan_mac_lazy`], the step the scan
+//! takes for moduli up to 32 bits, is one `_mm512_mul_epu32` and one
+//! add per term into raw 64-bit sums. Prefetching whole database
+//! segments is the scan's job (`row_sel_scan` issues `prefetcht0` for
+//! the next 4 KiB segment). `prefetchnta` was measured there and lost:
+//! a segment waits in L1 behind a tile of accumulator traffic, and
+//! non-temporal lines are evicted before they are used.
 //!
 //! Kernel outputs are always canonically reduced, and canonical outputs
 //! of exact algorithms are unique — so the backend is **bit-identical**
@@ -70,6 +72,7 @@
 //! [`BackendKind::Avx512`]: super::BackendKind::Avx512
 //! [`BackendKind::Auto`]: super::BackendKind::Auto
 //! [`VpeBackend::scan_fma`]: super::VpeBackend::scan_fma
+//! [`VpeBackend::scan_mac_lazy`]: super::VpeBackend::scan_mac_lazy
 
 use super::{simd, VpeBackend};
 
@@ -275,6 +278,38 @@ mod x86 {
         for j in i..n {
             acc_a[j] = OptimizedBackend::fma_one_narrow(ratio, q, acc_a[j], w[j], ea[j]);
             acc_b[j] = OptimizedBackend::fma_one_narrow(ratio, q, acc_b[j], w[j], eb[j]);
+        }
+    }
+
+    /// Lazy scan step: `acc += w·e` for both accumulators, eight lanes
+    /// at a time, as raw 64-bit sums. Operands are below `2^32` by
+    /// contract, so one `_mm512_mul_epu32` is the full product; the
+    /// sub-lane tail is the optimized backend's element formula.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn scan_mac_lazy_f(
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        w: &[u64],
+        ea: &[u64],
+        eb: &[u64],
+    ) {
+        let n = w.len();
+        let mut i = 0usize;
+        while i + 8 <= n {
+            let wv = _mm512_loadu_epi64(w.as_ptr().add(i).cast());
+            let eav = _mm512_loadu_epi64(ea.as_ptr().add(i).cast());
+            let ebv = _mm512_loadu_epi64(eb.as_ptr().add(i).cast());
+            let cav = _mm512_loadu_epi64(acc_a.as_ptr().add(i).cast());
+            let cbv = _mm512_loadu_epi64(acc_b.as_ptr().add(i).cast());
+            let ra = _mm512_add_epi64(cav, _mm512_mul_epu32(wv, eav));
+            let rb = _mm512_add_epi64(cbv, _mm512_mul_epu32(wv, ebv));
+            _mm512_storeu_epi64(acc_a.as_mut_ptr().add(i).cast(), ra);
+            _mm512_storeu_epi64(acc_b.as_mut_ptr().add(i).cast(), rb);
+            i += 8;
+        }
+        for j in i..n {
+            acc_a[j] = OptimizedBackend::mac_lazy_one(acc_a[j], w[j], ea[j]);
+            acc_b[j] = OptimizedBackend::mac_lazy_one(acc_b[j], w[j], eb[j]);
         }
     }
 
@@ -732,6 +767,27 @@ mod x86 {
                     Tier::Ifma => scan_fma_ifma(modulus, acc_a, acc_b, w, ea, eb),
                 }
             }
+        }
+
+        fn scan_mac_lazy(
+            &self,
+            acc_a: &mut [u64],
+            acc_b: &mut [u64],
+            w: &[u64],
+            ea: &[u64],
+            eb: &[u64],
+        ) {
+            if !available() {
+                return SimdBackend.scan_mac_lazy(acc_a, acc_b, w, ea, eb);
+            }
+            assert_eq!(acc_a.len(), w.len());
+            assert_eq!(acc_b.len(), w.len());
+            assert_eq!(ea.len(), w.len());
+            assert_eq!(eb.len(), w.len());
+            crate::metrics::count_pointwise_macs(2 * w.len() as u64);
+            // SAFETY: AVX-512F presence was just verified via the cached
+            // runtime probe.
+            unsafe { scan_mac_lazy_f(acc_a, acc_b, w, ea, eb) }
         }
 
         fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {

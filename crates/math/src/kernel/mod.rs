@@ -70,7 +70,7 @@ pub use scalar::ScalarBackend;
 #[cfg(target_arch = "x86_64")]
 pub use simd::SimdBackend;
 
-/// The five hot kernels of the PIR pipeline, per residue limb.
+/// The hot kernels of the PIR pipeline, per residue limb.
 ///
 /// All slices are flat `u64` limb rows of one length `n` with elements in
 /// `[0, q)`; outputs are always fully reduced. Implementations must be
@@ -140,20 +140,71 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
         self.fma(modulus, acc_a, w, ea);
         self.fma(modulus, acc_b, w, eb);
     }
+
+    /// The lazy `RowSel` scan step: `acc_a[i] += w[i]·ea[i]` and
+    /// `acc_b[i] += w[i]·eb[i]` as plain `u64` sums, with **no** modular
+    /// reduction — one 32×32→64 multiply and one add per term instead of
+    /// a Barrett reduction per term.
+    ///
+    /// Only exact under the caller's guarantees: every operand is below
+    /// `2^32` (true of every residue of a modulus `q ≤ 2^32`), and the
+    /// sums are brought back to `[0, q)` with [`VpeBackend::reduce_lazy`]
+    /// at least every [`lazy_mac_terms`] terms, so no sum passes `2^64`.
+    /// Charges the same two MACs per element as [`VpeBackend::scan_fma`].
+    ///
+    /// # Panics
+    /// Panics if the slice lengths differ.
+    fn scan_mac_lazy(
+        &self,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        w: &[u64],
+        ea: &[u64],
+        eb: &[u64],
+    );
+
+    /// Reduces raw [`VpeBackend::scan_mac_lazy`] sums (any `u64`) to the
+    /// canonical `[0, q)` in place. The default is the portable
+    /// single-word Barrett the vector backends share: it runs once per
+    /// [`lazy_mac_terms`] MACs, so it is off the hot path.
+    fn reduce_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
+        let q = modulus.value();
+        let ratio = OptimizedBackend::narrow_ratio(q);
+        for x in acc.iter_mut() {
+            // `ratio = ⌊2^64/q⌋` (q odd) under-estimates the quotient by
+            // at most one, so the remainder lands in [0, 2q).
+            let est = ((u128::from(*x) * u128::from(ratio)) >> 64) as u64;
+            *x = optimized::cond_sub(*x - est * q, q);
+        }
+    }
 }
 
-/// Software-prefetches the first cache lines of `row` into all cache
-/// levels (`prefetcht0`) so a streaming scan can overlap the next row's
-/// DRAM fetch with the current row's arithmetic. A hint only: no-op on
-/// non-`x86_64` targets, never faults, and safe on rows of any length.
+/// `L(q) = ⌊(2^64 − q)/(q − 1)²⌋`: how many [`VpeBackend::scan_mac_lazy`]
+/// terms a raw sum can take on top of a carry-in below `q` before it
+/// could pass `2^64` — the reduction interval of the lazy scan. `None`
+/// when `q > 2^32`, where products no longer fit 32-bit operands and the
+/// scan keeps the reducing [`VpeBackend::scan_fma`]. The Table I 28-bit
+/// primes give `L ≥ 256 = D0`: one reduction per segment sweep.
+pub fn lazy_mac_terms(modulus: &Modulus) -> Option<usize> {
+    if modulus.bits() > 32 {
+        return None;
+    }
+    let q = u128::from(modulus.value());
+    let terms = ((1u128 << 64) - q) / ((q - 1) * (q - 1));
+    Some(usize::try_from(terms).unwrap_or(usize::MAX))
+}
+
+/// Software-prefetches every cache line of `row` into all cache levels
+/// (`prefetcht0`) so a streaming scan can overlap the next segment's
+/// DRAM fetch with the current segment's arithmetic. A hint only: no-op
+/// on non-`x86_64` targets, never faults, and safe on slices of any
+/// length.
 #[inline(always)]
 pub fn prefetch_row(row: &[u64]) {
     #[cfg(target_arch = "x86_64")]
     {
-        // 8 u64 per 64-byte line; reach ~4 lines (256 elements' worth of
-        // head start is overkill — the scan catches up line by line).
-        let lines = row.len().div_ceil(8).min(4);
-        for line in 0..lines {
+        // 8 u64 per 64-byte line.
+        for line in 0..row.len().div_ceil(8) {
             // SAFETY: prefetch is architecturally a hint; even a dangling
             // address cannot fault, and `line * 8 < row.len()` keeps the
             // pointer in-bounds anyway.
@@ -168,40 +219,11 @@ pub fn prefetch_row(row: &[u64]) {
     let _ = row;
 }
 
-/// The non-temporal variant of [`prefetch_row`] (`prefetchnta`): lines
-/// are pulled close to the core but marked for early eviction instead of
-/// displacing the rest of the LLC. This is the honest "non-temporal
-/// load" on write-back memory — `movntdqa` is architecturally an
-/// ordinary load outside UC/WC regions, so the NT behaviour has to come
-/// from the prefetch hint. Use it when the database stream exceeds
-/// [`effective_llc_bytes`]: every line is touched exactly once per scan,
-/// so caching it only evicts data that *would* have been reused
-/// (accumulators, expansion residues, twiddles).
-#[inline(always)]
-pub fn prefetch_row_nt(row: &[u64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let lines = row.len().div_ceil(8).min(4);
-        for line in 0..lines {
-            // SAFETY: as in `prefetch_row` — architecturally a hint that
-            // cannot fault, and the pointer stays in-bounds.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_NTA }>(
-                    row.as_ptr().add(line * 8).cast(),
-                );
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = row;
-}
-
 /// Best-effort estimate of the last-level cache size in bytes, probed
 /// once per process (Linux sysfs `cpu0/cache`, highest level present)
 /// with a conservative 32 MiB fallback when the hierarchy cannot be
-/// read. The scan path compares the shard's limb buffer against this to
-/// pick between [`prefetch_row`] (hot buffer, keep it cached) and
-/// [`prefetch_row_nt`] (streaming buffer, do not pollute the LLC).
+/// read. The benches compare a database against it to warn when a scan
+/// they time would run from cache rather than DRAM.
 pub fn effective_llc_bytes() -> usize {
     static LLC: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *LLC.get_or_init(|| {
@@ -232,68 +254,6 @@ pub fn effective_llc_bytes() -> usize {
             _ => FALLBACK,
         }
     })
-}
-
-/// Tile width of the cache-blocked scan, in `u64` words: 4 KiB tiles
-/// keep one database tile, plus every live query's matching accumulator
-/// and expansion segments, resident in L1 while the query loop runs.
-pub const SCAN_BLOCK_WORDS: usize = 512;
-
-/// Cache-blocked multi-query, multi-modulus fused scan: one pass over
-/// the database polynomial `w` (flat `k × n`) feeds both accumulators of
-/// *every* query in the batch. `acc_block` is the contiguous per-record
-/// accumulator block, `queries × 2·k·n` words (`[q0.a | q0.b | q1.a …]`),
-/// and `expansion(q)` returns query `q`'s flat `k × n` `(ea, eb)` residue
-/// matrices. The limb row is tiled into [`SCAN_BLOCK_WORDS`]-word blocks
-/// with the query loop innermost, so each tile is loaded from memory
-/// once and consumed by all `k` residues and all queries while it is
-/// still L1-resident — instead of each query's modulus pass re-streaming
-/// its segment from L2/LLC as the unblocked loop nest does. Takes no
-/// scratch and allocates nothing, so the serving scan stays
-/// allocation-free through it.
-///
-/// Bit-identical to per-query [`VpeBackend::scan_fma`] calls by
-/// construction: the arithmetic is element-wise, so tiling only reorders
-/// independent updates (enforced by differential proptests).
-///
-/// # Panics
-/// Panics if `w.len()` is not a multiple of `moduli.len()`, if
-/// `acc_block.len()` is not a multiple of `2·w.len()`, or if any
-/// expansion slice length differs from `w.len()`.
-pub fn scan_fma_poly_blocked<'a>(
-    backend: &dyn VpeBackend,
-    moduli: &[Modulus],
-    w: &[u64],
-    acc_block: &mut [u64],
-    expansion: impl Fn(usize) -> (&'a [u64], &'a [u64]),
-) {
-    assert_eq!(w.len() % moduli.len(), 0, "flat poly not a multiple of the limb count");
-    let kn = w.len();
-    let n = kn / moduli.len();
-    assert_eq!(acc_block.len() % (2 * kn), 0, "accumulator block not a multiple of 2·k·n");
-    for (m, modulus) in moduli.iter().enumerate() {
-        let base = m * n;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + SCAN_BLOCK_WORDS).min(n);
-            let seg = base + lo..base + hi;
-            for (q, acc_ct) in acc_block.chunks_mut(2 * kn).enumerate() {
-                let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
-                let (ea, eb) = expansion(q);
-                assert_eq!(ea.len(), kn);
-                assert_eq!(eb.len(), kn);
-                backend.scan_fma(
-                    modulus,
-                    &mut acc_a[seg.clone()],
-                    &mut acc_b[seg.clone()],
-                    &w[seg.clone()],
-                    &ea[seg.clone()],
-                    &eb[seg.clone()],
-                );
-            }
-            lo = hi;
-        }
-    }
 }
 
 /// Whether the SIMD backend can actually run on this machine (AVX2
@@ -613,7 +573,6 @@ mod tests {
             // Prefetching is a hint with no semantics to test beyond
             // "does not fault on short rows".
             prefetch_row(&w);
-            prefetch_row_nt(&w);
         }
     }
 
@@ -623,51 +582,5 @@ mod tests {
         assert!(llc >= 64 << 10, "LLC estimate below any real cache: {llc}");
         assert!(llc <= 4 << 30, "LLC estimate above any real socket: {llc}");
         assert_eq!(llc, effective_llc_bytes(), "probe must be cached and stable");
-    }
-
-    #[test]
-    fn blocked_scan_matches_per_query_scan_fma() {
-        let moduli = Modulus::special_primes()[..3].to_vec();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(61);
-        // Cover n below, at, and straddling the tile width.
-        for n in [1usize, 8, SCAN_BLOCK_WORDS, SCAN_BLOCK_WORDS + 129] {
-            let flat = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
-                moduli.iter().flat_map(|m| rand_row(n, m.value(), rng)).collect()
-            };
-            let w = flat(&mut rng);
-            let accs: Vec<Vec<u64>> =
-                (0..3).flat_map(|_| [flat(&mut rng), flat(&mut rng)]).collect();
-            let exps: Vec<(Vec<u64>, Vec<u64>)> =
-                (0..3).map(|_| (flat(&mut rng), flat(&mut rng))).collect();
-            for kind in BACKEND_KINDS {
-                let backend = kind.backend();
-                let mut block: Vec<u64> = accs.iter().flatten().copied().collect();
-                scan_fma_poly_blocked(backend, &moduli, &w, &mut block, |q| {
-                    (&exps[q].0[..], &exps[q].1[..])
-                });
-                let kn = moduli.len() * n;
-                for (q, (ea, eb)) in exps.iter().enumerate() {
-                    let mut ra = accs[2 * q].clone();
-                    let mut rb = accs[2 * q + 1].clone();
-                    for (m, modulus) in moduli.iter().enumerate() {
-                        let seg = m * n..(m + 1) * n;
-                        backend.scan_fma(
-                            modulus,
-                            &mut ra[seg.clone()],
-                            &mut rb[seg.clone()],
-                            &w[seg.clone()],
-                            &ea[seg.clone()],
-                            &eb[seg],
-                        );
-                    }
-                    assert_eq!(block[2 * q * kn..(2 * q + 1) * kn], ra, "{kind} q{q} acc_a n={n}");
-                    assert_eq!(
-                        block[(2 * q + 1) * kn..(2 * q + 2) * kn],
-                        rb,
-                        "{kind} q{q} acc_b n={n}"
-                    );
-                }
-            }
-        }
     }
 }

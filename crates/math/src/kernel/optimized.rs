@@ -60,6 +60,14 @@ impl OptimizedBackend {
         cond_sub(cond_sub(r, q), q)
     }
 
+    /// One lazy scan term `acc + x·y` with no reduction. Operands are
+    /// below `2^32` by contract, so narrowing them first is exact and
+    /// lets the compiler use a 32×32→64 vector multiply.
+    #[inline(always)]
+    pub(crate) fn mac_lazy_one(acc: u64, x: u64, y: u64) -> u64 {
+        acc.wrapping_add(u64::from(x as u32) * u64::from(y as u32))
+    }
+
     /// `floor(2^64 / q)` for the narrow path (`q` is an odd prime, so it
     /// never divides `2^64` and the `u64::MAX` quotient is exact).
     #[inline(always)]
@@ -154,6 +162,27 @@ impl VpeBackend for OptimizedBackend {
                 *xa = Self::fma_one_wide(modulus, *xa, wi, eai);
                 *xb = Self::fma_one_wide(modulus, *xb, wi, ebi);
             }
+        }
+    }
+
+    fn scan_mac_lazy(
+        &self,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        w: &[u64],
+        ea: &[u64],
+        eb: &[u64],
+    ) {
+        assert_eq!(acc_a.len(), w.len());
+        assert_eq!(acc_b.len(), w.len());
+        assert_eq!(ea.len(), w.len());
+        assert_eq!(eb.len(), w.len());
+        crate::metrics::count_pointwise_macs(2 * w.len() as u64);
+        for ((xa, xb), ((&wi, &eai), &ebi)) in
+            acc_a.iter_mut().zip(acc_b.iter_mut()).zip(w.iter().zip(ea).zip(eb))
+        {
+            *xa = Self::mac_lazy_one(*xa, wi, eai);
+            *xb = Self::mac_lazy_one(*xb, wi, ebi);
         }
     }
 

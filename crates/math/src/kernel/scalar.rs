@@ -106,6 +106,40 @@ impl VpeBackend for ScalarBackend {
             }
         }
     }
+
+    fn scan_mac_lazy(
+        &self,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        w: &[u64],
+        ea: &[u64],
+        eb: &[u64],
+    ) {
+        assert_eq!(acc_a.len(), w.len());
+        assert_eq!(acc_b.len(), w.len());
+        assert_eq!(ea.len(), w.len());
+        assert_eq!(eb.len(), w.len());
+        crate::metrics::count_pointwise_macs(2 * w.len() as u64);
+        // The oracle checks what the fast backends assume: 32-bit
+        // operands and sums that never wrap.
+        let mac = |acc: u64, x: u64, y: u64| {
+            assert!(x >> 32 == 0 && y >> 32 == 0, "lazy MAC operand wider than 32 bits");
+            acc.checked_add(x * y).expect("lazy MAC sum overflowed u64")
+        };
+        for ((xa, xb), ((&wi, &eai), &ebi)) in
+            acc_a.iter_mut().zip(acc_b.iter_mut()).zip(w.iter().zip(ea).zip(eb))
+        {
+            *xa = mac(*xa, wi, eai);
+            *xb = mac(*xb, wi, ebi);
+        }
+    }
+
+    fn reduce_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
+        let q = modulus.value();
+        for x in acc.iter_mut() {
+            *x %= q;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -408,6 +408,38 @@ mod x86 {
         }
     }
 
+    /// Vectorized lazy scan step: `acc += w·e` for both accumulators,
+    /// four lanes at a time, as raw 64-bit sums. Operands are below
+    /// `2^32` by contract, so one `_mm256_mul_epu32` is the full product;
+    /// the sub-lane tail is the optimized backend's element formula.
+    #[target_feature(enable = "avx2")]
+    unsafe fn scan_mac_lazy_avx2(
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        w: &[u64],
+        ea: &[u64],
+        eb: &[u64],
+    ) {
+        let n = w.len();
+        let mut i = 0usize;
+        while i + 4 <= n {
+            let wv = _mm256_loadu_si256(w.as_ptr().add(i).cast());
+            let eav = _mm256_loadu_si256(ea.as_ptr().add(i).cast());
+            let ebv = _mm256_loadu_si256(eb.as_ptr().add(i).cast());
+            let cav = _mm256_loadu_si256(acc_a.as_ptr().add(i).cast());
+            let cbv = _mm256_loadu_si256(acc_b.as_ptr().add(i).cast());
+            let ra = _mm256_add_epi64(cav, _mm256_mul_epu32(wv, eav));
+            let rb = _mm256_add_epi64(cbv, _mm256_mul_epu32(wv, ebv));
+            _mm256_storeu_si256(acc_a.as_mut_ptr().add(i).cast(), ra);
+            _mm256_storeu_si256(acc_b.as_mut_ptr().add(i).cast(), rb);
+            i += 4;
+        }
+        for j in i..n {
+            acc_a[j] = OptimizedBackend::mac_lazy_one(acc_a[j], w[j], ea[j]);
+            acc_b[j] = OptimizedBackend::mac_lazy_one(acc_b[j], w[j], eb[j]);
+        }
+    }
+
     impl VpeBackend for SimdBackend {
         fn name(&self) -> &'static str {
             "simd"
@@ -459,6 +491,27 @@ mod x86 {
             // SAFETY: AVX2 presence was just verified via the cached
             // runtime probe.
             unsafe { ntt_inverse_narrow(table, a) }
+        }
+
+        fn scan_mac_lazy(
+            &self,
+            acc_a: &mut [u64],
+            acc_b: &mut [u64],
+            w: &[u64],
+            ea: &[u64],
+            eb: &[u64],
+        ) {
+            if !available() {
+                return OptimizedBackend.scan_mac_lazy(acc_a, acc_b, w, ea, eb);
+            }
+            assert_eq!(acc_a.len(), w.len());
+            assert_eq!(acc_b.len(), w.len());
+            assert_eq!(ea.len(), w.len());
+            assert_eq!(eb.len(), w.len());
+            crate::metrics::count_pointwise_macs(2 * w.len() as u64);
+            // SAFETY: AVX2 presence was just verified via the cached
+            // runtime probe.
+            unsafe { scan_mac_lazy_avx2(acc_a, acc_b, w, ea, eb) }
         }
 
         fn gadget_decompose(&self, gadget: &Gadget, wide: &[u128], out: &mut [u64]) {

@@ -49,7 +49,6 @@ pub mod kernel;
 pub mod metrics;
 pub mod modulus;
 pub mod ntt;
-pub mod ntt4step;
 pub mod poly;
 pub mod prime;
 pub mod reduce;

@@ -19,11 +19,14 @@
 //! non-multiples of the four- and eight-lane vector widths and sub-lane
 //! rows are always in play.
 
+use std::sync::{Mutex, MutexGuard};
+
 use ive_math::gadget::Gadget;
 use ive_math::kernel::{
-    avx512_available, avx512_ifma_available, prefetch_row_nt, scan_fma_poly_blocked,
-    simd_available, BackendKind, ScalarBackend, VpeBackend, SCAN_BLOCK_WORDS,
+    avx512_available, avx512_ifma_available, lazy_mac_terms, prefetch_row, simd_available,
+    BackendKind, ScalarBackend, VpeBackend,
 };
+use ive_math::metrics;
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
 use ive_math::prime::find_ntt_prime_below;
@@ -85,11 +88,42 @@ fn rand_row(n: usize, q: u64, rng: &mut impl Rng) -> Vec<u64> {
     (0..n).map(|_| rng.gen_range(0..q)).collect()
 }
 
+/// Serializes the tests of this binary: the op counters are
+/// process-global, so the MAC-count check needs every other kernel call
+/// out of the way. Every test takes it first.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The lazy scan the way `RowSel` drives it: one [`VpeBackend::scan_mac_lazy`]
+/// per term on top of the carry-in `(acc_a, acc_b)`, a reduction every
+/// `L(q)` terms, and one at the end.
+fn lazy_scan(
+    backend: &dyn VpeBackend,
+    m: &Modulus,
+    acc_a: &mut [u64],
+    acc_b: &mut [u64],
+    terms: &[[Vec<u64>; 3]],
+) {
+    let l = lazy_mac_terms(m).expect("lazy path needs q <= 2^32");
+    for (t, [w, ea, eb]) in terms.iter().enumerate() {
+        if t > 0 && t % l == 0 {
+            backend.reduce_lazy(m, acc_a);
+            backend.reduce_lazy(m, acc_b);
+        }
+        backend.scan_mac_lazy(acc_a, acc_b, w, ea, eb);
+    }
+    backend.reduce_lazy(m, acc_a);
+    backend.reduce_lazy(m, acc_b);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn fma_is_bit_identical(seed in any::<u64>(), which in 0usize..10, n in 1usize..300) {
+        let _serial = serial();
         let m = pick_modulus(which);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let a = rand_row(n, m.value(), &mut rng);
@@ -106,6 +140,7 @@ proptest! {
 
     #[test]
     fn pointwise_mul_is_bit_identical(seed in any::<u64>(), which in 0usize..10, n in 1usize..300) {
+        let _serial = serial();
         let m = pick_modulus(which);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let b = rand_row(n, m.value(), &mut rng);
@@ -121,6 +156,7 @@ proptest! {
 
     #[test]
     fn scan_fma_is_bit_identical(seed in any::<u64>(), which in 0usize..10, n in 1usize..300) {
+        let _serial = serial();
         // The fused database-scan kernel must equal the unfused pair of
         // FMAs run through the scalar oracle — on every backend, fused
         // override or default.
@@ -143,67 +179,48 @@ proptest! {
     }
 
     #[test]
-    fn blocked_scan_is_bit_identical(
+    fn lazy_scan_is_bit_identical(
         seed in any::<u64>(),
-        which in 0usize..10,
-        k in 1usize..4,
+        which in 0usize..7,
         n_raw in 1usize..700,
-        queries in 1usize..4,
+        terms in 1usize..40,
     ) {
-        // The cache-blocked multi-modulus scan must equal the scalar
-        // per-modulus `scan_fma` reference on every backend — tiling
-        // reorders the traversal, never the arithmetic. `n` is biased
-        // to straddle the `SCAN_BLOCK_WORDS` tile boundary so partial
-        // tiles, exact tiles, and multi-tile rows are all drawn.
-        let n = if n_raw > 350 { SCAN_BLOCK_WORDS + (n_raw - 350) } else { n_raw };
-        let pool = modulus_pool();
-        let moduli: Vec<Modulus> = (0..k).map(|i| pool[(which + i) % pool.len()]).collect();
+        // Lazy MACs plus reductions must equal the scalar oracle's
+        // reducing `scan_fma` run once per term, on every backend and
+        // every modulus the lazy path takes (the pool's first seven, up
+        // to 32 bits). The 30- and 32-bit primes have L(q) < 40, so the
+        // mid-sweep reductions run; `n` straddles the 512-word scan
+        // segment, so partial and multi-segment rows are drawn.
+        let _serial = serial();
+        let n = if n_raw > 350 { 512 + (n_raw - 350) } else { n_raw };
+        let m = modulus_pool()[which];
+        let q = m.value();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let seg_rand = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
-            moduli.iter().flat_map(|m| rand_row(n, m.value(), rng)).collect()
-        };
-        let w = seg_rand(&mut rng);
-        let exps: Vec<(Vec<u64>, Vec<u64>)> =
-            (0..queries).map(|_| (seg_rand(&mut rng), seg_rand(&mut rng))).collect();
-        let acc0: Vec<u64> =
-            (0..queries).flat_map(|_| [seg_rand(&mut rng), seg_rand(&mut rng)]).flatten().collect();
-
-        let kn = k * n;
-        let mut reference = acc0.clone();
-        for (q, block) in reference.chunks_mut(2 * kn).enumerate() {
-            let (acc_a, acc_b) = block.split_at_mut(kn);
-            for (m, modulus) in moduli.iter().enumerate() {
-                let seg = m * n..(m + 1) * n;
-                ScalarBackend.scan_fma(
-                    modulus,
-                    &mut acc_a[seg.clone()],
-                    &mut acc_b[seg.clone()],
-                    &w[seg.clone()],
-                    &exps[q].0[seg.clone()],
-                    &exps[q].1[seg],
-                );
-            }
+        let rows: Vec<[Vec<u64>; 3]> = (0..terms)
+            .map(|_| [rand_row(n, q, &mut rng), rand_row(n, q, &mut rng), rand_row(n, q, &mut rng)])
+            .collect();
+        let a0 = rand_row(n, q, &mut rng);
+        let b0 = rand_row(n, q, &mut rng);
+        let (mut ref_a, mut ref_b) = (a0.clone(), b0.clone());
+        for [w, ea, eb] in &rows {
+            ScalarBackend.scan_fma(&m, &mut ref_a, &mut ref_b, w, ea, eb);
         }
-
         let mut all: Vec<&'static dyn VpeBackend> = vec![&ScalarBackend];
         all.extend(backends_under_test());
         for backend in all {
-            // The non-temporal-load path is a prefetch-hint choice on
-            // the same arithmetic; issuing it first must be inert.
-            prefetch_row_nt(&w);
-            let mut out = acc0.clone();
-            scan_fma_poly_blocked(backend, &moduli, &w, &mut out, |q| {
-                (exps[q].0.as_slice(), exps[q].1.as_slice())
-            });
-            prop_assert_eq!(
-                &reference, &out,
-                "blocked scan diverged: {} k={} n={} queries={}", backend.name(), k, n, queries
-            );
+            // The scan prefetches the next segment while this one
+            // computes; the hint must be inert.
+            prefetch_row(&rows[0][0]);
+            let (mut out_a, mut out_b) = (a0.clone(), b0.clone());
+            lazy_scan(backend, &m, &mut out_a, &mut out_b, &rows);
+            prop_assert_eq!(&ref_a, &out_a, "lazy acc_a diverged: {} q={} n={}", backend.name(), q, n);
+            prop_assert_eq!(&ref_b, &out_b, "lazy acc_b diverged: {} q={} n={}", backend.name(), q, n);
         }
     }
 
     #[test]
     fn ntt_dispatch_is_bit_identical(seed in any::<u64>(), which in 0usize..10, log_n in 1u32..10) {
+        let _serial = serial();
         let m = pick_modulus(which);
         let n = 1usize << log_n;
         let table = NttTable::new(&m, n).expect("pool primes are NTT-friendly to 2^9");
@@ -231,6 +248,7 @@ proptest! {
         base_bits in 1u32..=27,
         n in 1usize..64,
     ) {
+        let _serial = serial();
         // ell chosen to cover a 109-bit Q like the paper's.
         let gadget = Gadget::for_modulus((1u128 << 109) - 1, base_bits);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -243,6 +261,59 @@ proptest! {
             prop_assert_eq!(
                 &scalar, &out,
                 "decompose diverged: {} base=2^{}", backend.name(), base_bits
+            );
+        }
+    }
+}
+
+#[test]
+fn lazy_scan_is_exact_at_worst_case_operands_and_counts_two_macs_per_element() {
+    // All operands q − 1 on a q − 1 carry-in, for exactly L(q) terms with
+    // no reduction in between: the raw sums reach their largest possible
+    // value, which L(q) keeps within u64 (the scalar oracle panics on a
+    // wrap), and one more term could pass 2^64.
+    let _serial = serial();
+    let n = 37;
+    for m in modulus_pool() {
+        let q = m.value();
+        let Some(l) = lazy_mac_terms(&m) else {
+            assert!(m.bits() > 32, "q = {q} fits 32 bits but has no lazy interval");
+            continue;
+        };
+        if m.is_special() {
+            assert!(l >= 256, "Table I prime {q}: L = {l} < D0");
+        }
+        let worst = u128::from(q - 1) + l as u128 * u128::from(q - 1).pow(2);
+        assert!(worst <= u128::from(u64::MAX), "L({q}) = {l} overflows");
+        assert!(worst + u128::from(q - 1).pow(2) > u128::from(u64::MAX), "L({q}) = {l} not tight");
+        let expect = (worst % u128::from(q)) as u64;
+        let top = vec![q - 1; n];
+        let mut all: Vec<&'static dyn VpeBackend> = vec![&ScalarBackend];
+        all.extend(backends_under_test());
+        for backend in all {
+            let (mut acc_a, mut acc_b) = (top.clone(), top.clone());
+            for _ in 0..l {
+                let before = metrics::snapshot().pointwise_macs;
+                backend.scan_mac_lazy(&mut acc_a, &mut acc_b, &top, &top, &top);
+                let macs = metrics::snapshot().pointwise_macs - before;
+                assert_eq!(
+                    macs,
+                    2 * n as u64,
+                    "{} charged {macs} MACs for {n} elements",
+                    backend.name()
+                );
+            }
+            assert!(
+                acc_a.iter().all(|&x| u128::from(x) == worst),
+                "{} raw sum q={q}",
+                backend.name()
+            );
+            backend.reduce_lazy(&m, &mut acc_a);
+            backend.reduce_lazy(&m, &mut acc_b);
+            assert!(
+                acc_a.iter().chain(&acc_b).all(|&x| x == expect),
+                "{} reduced worst-case sum q={q}",
+                backend.name()
             );
         }
     }

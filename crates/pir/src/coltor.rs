@@ -48,12 +48,53 @@ pub fn col_tor(
     sel_bits: &[RgswCiphertext],
     order: TournamentOrder,
 ) -> Result<BfvCiphertext, PirError> {
-    col_tor_with(he, entries, sel_bits, order, kernel::default_backend(), &mut KernelArena::new())
+    col_tor_with(
+        he,
+        entries,
+        sel_bits,
+        order,
+        1,
+        kernel::default_backend(),
+        &mut KernelArena::new(),
+    )
 }
 
-/// [`col_tor`] through an explicit kernel backend, with every CMux's
-/// `Dcp` scratch drawn from `arena` (the serving path: one warm buffer
-/// set serves all `2^d − 1` tournament nodes).
+/// CMux work (ring words × CMuxes) a subtree must carry before it gets a
+/// thread of its own: one CMux at the paper ring (`k·n = 2^14` words,
+/// milliseconds of work, hundreds of times a thread spawn). The N = 256
+/// toy ring (768 words) needs 22 CMuxes per subtree, so toy tournaments
+/// up to `d = 5` stay on the caller.
+const COLTOR_MIN_WORDS_PER_SUBTREE: usize = 1 << 14;
+
+/// How many top levels of a depth-`d` tournament run on the caller after
+/// its `2^s` subtrees over the low `d − s` selection bits ran one per
+/// thread: `s = min(⌊log₂ threads⌋, d − 1)`, lowered until every subtree
+/// carries [`COLTOR_MIN_WORDS_PER_SUBTREE`]. `0` keeps the whole
+/// tournament sequential.
+pub(crate) fn coltor_split_levels(he: &HeParams, d: usize, threads: usize) -> usize {
+    if d < 2 || threads < 2 {
+        return 0;
+    }
+    let words = he.ring().basis().len() * he.n();
+    let mut s = (threads.ilog2() as usize).min(d - 1);
+    while s > 0 && ((1usize << (d - s)) - 1) * words < COLTOR_MIN_WORDS_PER_SUBTREE {
+        s -= 1;
+    }
+    s
+}
+
+/// [`col_tor`] on up to `threads` threads, through an explicit kernel
+/// backend, with every CMux's `Dcp` scratch drawn from `arena` (the
+/// serving path: one warm buffer set serves the caller's tournament
+/// nodes).
+///
+/// The `2^s` subtrees over the low `d − s` selection bits (`s =
+/// min(⌊log₂ threads⌋, d − 1)`, lowered until each subtree carries about
+/// one paper-ring CMux) are independent and run on scoped threads,
+/// each with its own [`KernelArena`] (the first stays on the caller and
+/// its arena); the caller then plays the top `s` levels over their
+/// winners. Every order performs the same CMuxes on the same operands,
+/// so the output is bit-identical for every thread count.
 ///
 /// # Errors
 /// Fails when the entry count is not a power of two matching the number of
@@ -63,6 +104,7 @@ pub fn col_tor_with(
     entries: Vec<BfvCiphertext>,
     sel_bits: &[RgswCiphertext],
     order: TournamentOrder,
+    threads: usize,
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
 ) -> Result<BfvCiphertext, PirError> {
@@ -76,6 +118,44 @@ pub fn col_tor_with(
     if sel_bits.len() < d {
         return Err(PirError::MissingKeys { got: sel_bits.len(), need: d });
     }
+    let split = coltor_split_levels(he, d, threads);
+    if split == 0 {
+        return col_tor_ordered(he, entries, &sel_bits[..d], order, backend, arena);
+    }
+    let (low_bits, high_bits) = sel_bits[..d].split_at(d - split);
+    let mut entries = entries.into_iter();
+    let mut subtrees = (0..1usize << split)
+        .map(|_| entries.by_ref().take(1 << low_bits.len()).collect::<Vec<_>>());
+    let first = subtrees.next().expect("2^split >= 2 subtrees");
+    let winners = std::thread::scope(|scope| {
+        let workers: Vec<_> = subtrees
+            .map(|group| {
+                scope.spawn(move || {
+                    col_tor_ordered(he, group, low_bits, order, backend, &mut KernelArena::new())
+                })
+            })
+            .collect();
+        let mut done = vec![col_tor_ordered(he, first, low_bits, order, backend, arena)];
+        done.extend(
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))),
+        );
+        done
+    });
+    let winners = winners.into_iter().collect::<Result<Vec<_>, _>>()?;
+    col_tor_ordered(he, winners, high_bits, order, backend, arena)
+}
+
+/// The sequential tournament in the requested traversal order.
+fn col_tor_ordered(
+    he: &HeParams,
+    entries: Vec<BfvCiphertext>,
+    sel_bits: &[RgswCiphertext],
+    order: TournamentOrder,
+    backend: &dyn VpeBackend,
+    arena: &mut KernelArena,
+) -> Result<BfvCiphertext, PirError> {
     match order {
         TournamentOrder::Bfs => col_tor_bfs(he, entries, sel_bits, backend, arena),
         TournamentOrder::Dfs => col_tor_dfs(he, &entries, sel_bits, backend, arena),
@@ -218,6 +298,54 @@ mod tests {
         // HS reorders scheduling only; the arithmetic is identical (§IV-A:
         // "it does not introduce any additional error growth").
         assert_eq!(bfs, dfs);
+    }
+
+    #[test]
+    fn split_gate_keeps_the_toy_ring_and_one_level_sequential() {
+        let toy = ive_he::HeParams::toy();
+        for threads in [2usize, 3, 4, 64] {
+            for d in 1..=5 {
+                assert_eq!(coltor_split_levels(&toy, d, threads), 0, "toy d={d} {threads}t");
+            }
+        }
+        // Table I: d = 1 (the 64 MiB database) has nothing to split; deeper
+        // tournaments split into one subtree per thread, up to 2^(d−1).
+        let paper = ive_he::HeParams::paper();
+        for threads in [1usize, 2, 3, 64] {
+            assert_eq!(coltor_split_levels(&paper, 1, threads), 0);
+        }
+        assert_eq!(coltor_split_levels(&paper, 6, 1), 0);
+        assert_eq!(coltor_split_levels(&paper, 6, 2), 1);
+        assert_eq!(coltor_split_levels(&paper, 6, 3), 1);
+        assert_eq!(coltor_split_levels(&paper, 6, 4), 2);
+        assert_eq!(coltor_split_levels(&paper, 2, 64), 1);
+    }
+
+    #[test]
+    fn split_tournament_is_identical_to_sequential() {
+        // d = 6 is deep enough for the toy ring to pass the gate with two
+        // 31-CMux subtrees (four 15-CMux ones would not).
+        let d = 6;
+        let (he, sk, cts, msgs, mut rng) = setup(d);
+        let target = 45;
+        let sels: Vec<RgswCiphertext> = bits_of(target, d)
+            .iter()
+            .map(|&b| RgswCiphertext::encrypt_bit(&he, &sk, b, &mut rng))
+            .collect();
+        assert_eq!(coltor_split_levels(&he, d, 2), 1);
+        assert_eq!(coltor_split_levels(&he, d, 4), 1);
+        let reference = col_tor(&he, cts.clone(), &sels, TournamentOrder::Bfs).unwrap();
+        assert_eq!(reference.decrypt(&he, &sk), msgs[target]);
+        let backend = kernel::default_backend();
+        for order in [TournamentOrder::Bfs, TournamentOrder::Hs { subtree_depth: 2 }] {
+            for threads in [2usize, 3] {
+                let mut arena = KernelArena::new();
+                let got =
+                    col_tor_with(&he, cts.clone(), &sels, order, threads, backend, &mut arena)
+                        .unwrap();
+                assert_eq!(got, reference, "{order:?} at {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub struct QueryScratch {
     /// (each shaped like `acc`); retained across scans so a warm
     /// parallel scan performs no data-dependent allocations.
     thread_acc: Vec<Vec<u64>>,
+    /// One row-tile accumulator per scan worker (`tile rows × queries ×
+    /// 2 × segment` words, sized to stay in L2), retained likewise.
+    tiles: Vec<Vec<u64>>,
     rows: usize,
     queries: usize,
     /// Words per ciphertext accumulator (`2 · k · n`).
@@ -59,28 +62,36 @@ impl QueryScratch {
         self.ct_words = ct_words;
     }
 
-    /// The raw accumulator matrix (`rows × queries × 2·k·n` words); the
-    /// scan chunks it by row ranges for its worker threads.
-    pub(crate) fn acc_mut(&mut self) -> &mut [u64] {
-        &mut self.acc
-    }
-
-    /// The accumulator matrix plus `count` zeroed per-thread partial
-    /// accumulators of the same shape — the buffers behind the reduced
-    /// parallel scan (each worker sums its share of the record dimension
-    /// into its own partial; the scan then folds partials into `acc` with
-    /// modular adds). Partials are retained across calls, so a warm scan
-    /// at a fixed geometry reuses them without reallocating.
-    pub(crate) fn acc_and_partials(&mut self, count: usize) -> (&mut [u64], &mut [Vec<u64>]) {
+    /// The buffers of one scan: the accumulator matrix (`rows × queries
+    /// × 2·k·n` words, chunked by row ranges for the worker threads),
+    /// `partials` zeroed per-thread partial accumulators of the same
+    /// shape (the D0-split scan sums its share of the record dimension
+    /// into each, then folds them into the matrix with modular adds), and
+    /// `tiles` row-tile buffers of `tile_words` words, one per worker
+    /// (contents unspecified: the scan clears what it uses). Everything is
+    /// retained across calls, so a warm scan at a fixed geometry
+    /// allocates nothing.
+    pub(crate) fn scan_buffers(
+        &mut self,
+        partials: usize,
+        tiles: usize,
+        tile_words: usize,
+    ) -> (&mut [u64], &mut [Vec<u64>], &mut [Vec<u64>]) {
         let want = self.rows * self.queries * self.ct_words;
-        if self.thread_acc.len() < count {
-            self.thread_acc.resize_with(count, Vec::new);
+        if self.thread_acc.len() < partials {
+            self.thread_acc.resize_with(partials, Vec::new);
         }
-        for part in &mut self.thread_acc[..count] {
+        for part in &mut self.thread_acc[..partials] {
             part.clear();
             part.resize(want, 0);
         }
-        (&mut self.acc, &mut self.thread_acc[..count])
+        if self.tiles.len() < tiles {
+            self.tiles.resize_with(tiles, Vec::new);
+        }
+        for tile in &mut self.tiles[..tiles] {
+            tile.resize(tile_words, 0);
+        }
+        (&mut self.acc, &mut self.thread_acc[..partials], &mut self.tiles[..tiles])
     }
 
     /// Number of rows the accumulators currently hold.
@@ -129,11 +140,11 @@ impl QueryScratch {
     }
 
     /// Bytes currently retained across the arena and accumulators
-    /// (including the per-thread partials of the parallel scan).
+    /// (including the per-thread partials and row tiles of the scan).
     pub fn retained_bytes(&self) -> usize {
         self.arena.retained_bytes()
             + self.acc.capacity() * 8
-            + self.thread_acc.iter().map(|p| p.capacity() * 8).sum::<usize>()
+            + self.thread_acc.iter().chain(&self.tiles).map(|p| p.capacity() * 8).sum::<usize>()
     }
 }
 
@@ -147,7 +158,7 @@ mod tests {
         s.reset_accumulators(4, 2, 6);
         assert_eq!(s.rows(), 4);
         assert_eq!(s.queries(), 2);
-        assert_eq!(s.acc_mut().len(), 4 * 2 * 6);
+        assert_eq!(s.scan_buffers(0, 0, 0).0.len(), 4 * 2 * 6);
         let (a, b) = s.row_words(1, 3);
         assert_eq!(a.len(), 3);
         assert_eq!(b.len(), 3);
@@ -160,7 +171,7 @@ mod tests {
     fn thread_partials_match_shape_and_are_retained() {
         let mut s = QueryScratch::new();
         s.reset_accumulators(4, 2, 6);
-        let (acc, partials) = s.acc_and_partials(3);
+        let (acc, partials, tiles) = s.scan_buffers(3, 2, 10);
         assert_eq!(acc.len(), 4 * 2 * 6);
         assert_eq!(partials.len(), 3);
         for p in partials.iter_mut() {
@@ -168,12 +179,14 @@ mod tests {
             assert!(p.iter().all(|&w| w == 0), "partials must start zeroed");
             p.fill(7);
         }
+        assert_eq!(tiles.len(), 2);
+        assert!(tiles.iter().all(|t| t.len() == 10));
         // A later scan asking for fewer partials re-zeroes what it uses
         // and keeps the rest retained (capacity, not contents).
-        let (_, partials) = s.acc_and_partials(2);
+        let (_, partials, _) = s.scan_buffers(2, 1, 10);
         assert_eq!(partials.len(), 2);
         assert!(partials.iter().all(|p| p.iter().all(|&w| w == 0)));
-        assert!(s.retained_bytes() >= (1 + 3) * 4 * 2 * 6 * 8);
+        assert!(s.retained_bytes() >= (1 + 3) * 4 * 2 * 6 * 8 + 2 * 10 * 8);
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! The PIR server: `ExpandQuery → RowSel → ColTor` (Fig. 2).
 //!
 //! The hot path dispatches every kernel through a selected
-//! [`VpeBackend`](ive_math::kernel::VpeBackend) and draws scratch from a
+//! [`VpeBackend`] and draws scratch from a
 //! caller-owned [`QueryScratch`]: `RowSel` is a streaming scan over the
 //! database's contiguous limb-major buffer that accumulates into flat,
 //! reused buffers — zero heap allocations per query once warm.
 
+use std::ops::Range;
+
 use ive_he::BfvCiphertext;
-use ive_math::kernel::{self, BackendKind};
+use ive_math::kernel::{self, BackendKind, VpeBackend};
+use ive_math::modulus::Modulus;
 use ive_math::rns::Form;
 
 use crate::client::{ClientKeys, PirQuery};
@@ -26,6 +29,22 @@ const ROWSEL_MIN_ROWS_PER_THREAD: usize = 8;
 /// thread (on a 2-core host, two threads ran it at 0.73× the speed of
 /// one); a Table I slice has megabytes per worker.
 const ROWSEL_MIN_BYTES_PER_THREAD: usize = 4 << 20;
+
+/// Width of one `RowSel` scan segment in `u64` words (4 KiB): the unit
+/// the row-tiled scan sweeps the record dimension over, and the unit it
+/// prefetches the database in.
+const SCAN_SEGMENT_WORDS: usize = 512;
+
+/// L2 bytes one scan worker's row tile of accumulators may take. At a
+/// batch of 4 this gives 16-row tiles; on a 2-core AVX-512 host at
+/// Table I (2 GiB), 8- and 32-row tiles scanned no faster.
+const ROWSEL_TILE_L2_BYTES: usize = 512 << 10;
+
+/// Rows per scan tile: as many as keep `rows × batch × 2 × segment`
+/// accumulator words within [`ROWSEL_TILE_L2_BYTES`], at least one.
+fn rowsel_tile_rows(batch: usize) -> usize {
+    (ROWSEL_TILE_L2_BYTES / (batch * 2 * SCAN_SEGMENT_WORDS * 8)).max(1)
+}
 
 /// Default compute parallelism per batch: one thread per available core,
 /// so a lone server saturates the machine without oversubscribing it.
@@ -99,10 +118,11 @@ impl PirServer {
     }
 
     /// Caps the compute threads of one query or batch at `threads`
-    /// (clamped to ≥ 1): each `ExpandQuery` splits into up to that many
-    /// subtrees, and the `RowSel` scan into up to that many workers. Both
-    /// stay sequential where the work is too small to pay for a thread
-    /// (the toy geometry), and answers are bit-identical at every count.
+    /// (clamped to ≥ 1): each `ExpandQuery` and each `ColTor` splits into
+    /// up to that many subtrees, and the `RowSel` scan into up to that
+    /// many workers. All three stay sequential where the work is too
+    /// small to pay for a thread (the toy geometry), and answers are
+    /// bit-identical at every count.
     ///
     /// Defaults to [`std::thread::available_parallelism`]; a serving
     /// runtime that runs its own worker pool sets cores / workers, so the
@@ -111,7 +131,8 @@ impl PirServer {
         self.rowsel_threads = threads.max(1);
     }
 
-    /// The per-batch compute thread cap in effect (Expand and `RowSel`).
+    /// The per-batch compute thread cap in effect (Expand, `RowSel` and
+    /// `ColTor`).
     #[inline]
     pub fn rowsel_threads(&self) -> usize {
         self.rowsel_threads
@@ -257,8 +278,8 @@ impl PirServer {
     }
 
     /// Batched `RowSel` into caller-owned scratch: the streaming scan at
-    /// the heart of the server. Walks the database's contiguous limb
-    /// buffer once, front to back, and FMA-accumulates every query's row
+    /// the heart of the server. Reads every database word once, in row
+    /// tiles and coefficient segments, and accumulates every query's row
     /// ciphertexts in flat reused buffers through the selected kernel
     /// backend — no heap allocation once `scratch` is warm. Results are
     /// read back with [`QueryScratch::row_words`] /
@@ -314,53 +335,56 @@ impl PirServer {
         let moduli = ring.basis().moduli();
         let n = he.n();
         let k = moduli.len();
+        let kn = k * n;
         let d0 = self.params.d0();
         let rows = self.params.num_rows();
-        let ct_words = 2 * k * n;
-        let row_block = expanded.len() * ct_words;
-        if expanded.is_empty() {
+        let batch = expanded.len();
+        let ct_words = 2 * kn;
+        let row_block = batch * ct_words;
+        if batch == 0 {
             // Nothing to accumulate; leave an explicitly empty result
             // shape instead of feeding a zero chunk size to the scan.
             scratch.reset_accumulators(0, 0, ct_words);
             return Ok(());
         }
-        scratch.reset_accumulators(rows, expanded.len(), ct_words);
+        scratch.reset_accumulators(rows, batch, ct_words);
 
-        // A database stream that exceeds the LLC is touched exactly once
-        // per scan, so caching it only evicts data that *would* be reused
-        // (accumulators, expansion residues): prefetch it non-temporally.
-        // Toy geometries that re-scan a hot buffer keep the T0 hint.
-        let db_bytes = rows * d0 * k * n * 8;
-        let prefetch: fn(&[u64]) = if db_bytes > kernel::effective_llc_bytes() {
-            kernel::prefetch_row_nt
-        } else {
-            kernel::prefetch_row
-        };
+        let db_bytes = rows * d0 * kn * 8;
+        let seg_words = SCAN_SEGMENT_WORDS.min(n);
+        let tile_rows = rowsel_tile_rows(batch).min(rows.max(1));
+        let tile_words = tile_rows * batch * 2 * seg_words;
 
-        // One worker's share: rows [start, start + chunk_rows) of the
-        // accumulator matrix over record slots [d0_range), streaming the
-        // database limb-major. Each record slice is loaded once and
-        // serves every query of the batch through the cache-blocked
-        // fused scan kernel (all k residues and both ciphertext
-        // accumulators of every query consumed per loaded tile), with
-        // the head of the *next* record's limb row prefetched while the
-        // current one computes — the streaming half of the paper's
-        // bandwidth-bound scan.
-        let rows_end = rows;
-        let scan = |start: usize, acc: &mut [u64], d0_range: std::ops::Range<usize>| {
-            for (off, block) in acc.chunks_mut(row_block).enumerate() {
-                let r = start + off;
-                for i in d0_range.clone() {
-                    let words = self.db.poly_words(r, i);
-                    let (nr, ni) =
-                        if i + 1 < d0_range.end { (r, i + 1) } else { (r + 1, d0_range.start) };
-                    if nr < rows_end {
-                        prefetch(self.db.poly_words(nr, ni));
+        // One worker's share: accumulator rows [start, start + acc rows)
+        // over record slots `d0_range`, in tiles of `tile_rows` rows. Per
+        // tile, limb and coefficient segment, one sweep over the record
+        // slots accumulates into the L2-resident `tile` (see
+        // `sweep_segment`), which is then written out to the worker's
+        // accumulator rows.
+        let scan = |start: usize, acc: &mut [u64], d0_range: Range<usize>, tile: &mut [u64]| {
+            for (t, acc_tile) in acc.chunks_mut(tile_rows * row_block).enumerate() {
+                let r0 = start + t * tile_rows;
+                let tile_range = r0..r0 + acc_tile.len() / row_block;
+                for (m, modulus) in moduli.iter().enumerate() {
+                    for lo in (0..n).step_by(seg_words) {
+                        let seg = m * n + lo..m * n + (lo + seg_words).min(n);
+                        let s = seg.len();
+                        let tile = &mut tile[..tile_range.len() * batch * 2 * s];
+                        self.sweep_segment(
+                            backend,
+                            modulus,
+                            expanded,
+                            tile_range.clone(),
+                            d0_range.clone(),
+                            seg.clone(),
+                            tile,
+                        );
+                        // Tile layout (row, query, half) → accumulator
+                        // words row·row_block + query·ct_words + half·kn.
+                        for (c, src) in tile.chunks(s).enumerate() {
+                            let dst = (c / (2 * batch)) * row_block + (c % (2 * batch)) * kn;
+                            acc_tile[dst + seg.start..dst + seg.end].copy_from_slice(src);
+                        }
                     }
-                    kernel::scan_fma_poly_blocked(backend, moduli, words, block, |q| {
-                        let exp = &expanded[q].as_ref()[i];
-                        (exp.a.as_words(), exp.b.as_words())
-                    });
                 }
             }
         };
@@ -371,14 +395,16 @@ impl PirServer {
             // Enough rows for every worker to own a disjoint row range of
             // the shared accumulator matrix: no reduction needed, and the
             // partition is trivially bit-identical to the sequential scan.
-            let acc = scratch.acc_mut();
             let chunk_rows = rows.div_ceil(threads);
+            let (acc, _, tiles) = scratch.scan_buffers(0, rows.div_ceil(chunk_rows), tile_words);
             std::thread::scope(|scope| {
-                for (start, acc_chunk) in
-                    (0..rows).step_by(chunk_rows).zip(acc.chunks_mut(chunk_rows * row_block))
+                for ((start, acc_chunk), tile) in (0..rows)
+                    .step_by(chunk_rows)
+                    .zip(acc.chunks_mut(chunk_rows * row_block))
+                    .zip(tiles.iter_mut())
                 {
                     let scan = &scan;
-                    scope.spawn(move || scan(start, acc_chunk, 0..d0));
+                    scope.spawn(move || scan(start, acc_chunk, 0..d0, tile));
                 }
             });
         } else if d0_workers > 1 && rows > 0 {
@@ -387,22 +413,23 @@ impl PirServer {
             // scans all rows over its own D0 range — the first range into
             // the shared accumulator on this thread, the rest into
             // per-thread partials from the scratch pool — and the
-            // partials are folded in afterwards with per-limb modular
-            // adds. Addition mod q is exactly associative and commutative
-            // on canonical `[0, q)` words, so the reduced result is
+            // reduced partials are folded in afterwards with per-limb
+            // modular adds. Addition mod q is exactly associative and
+            // commutative on canonical `[0, q)` words, so the result is
             // bit-identical to the sequential left-to-right accumulation
             // (enforced by the thread-matrix differential tests).
             let chunk_d0 = d0.div_ceil(d0_workers);
             let spawned = d0.div_ceil(chunk_d0) - 1;
-            let (acc, partials) = scratch.acc_and_partials(spawned);
+            let (acc, partials, tiles) = scratch.scan_buffers(spawned, spawned + 1, tile_words);
+            let (first_tile, tiles) = tiles.split_first_mut().expect("one tile per worker");
             std::thread::scope(|scope| {
                 let mut ranges = (0..d0).step_by(chunk_d0).map(|lo| lo..(lo + chunk_d0).min(d0));
                 let first = ranges.next().expect("d0 >= 2");
-                for (d0_range, part) in ranges.zip(partials.iter_mut()) {
+                for ((d0_range, part), tile) in ranges.zip(partials.iter_mut()).zip(tiles) {
                     let scan = &scan;
-                    scope.spawn(move || scan(0, part, d0_range));
+                    scope.spawn(move || scan(0, part, d0_range, tile));
                 }
-                scan(0, &mut *acc, first);
+                scan(0, &mut *acc, first, first_tile);
             });
             // Fold the partials into the shared accumulator. The flat
             // matrix cycles limb rows with period k within each k·n
@@ -417,9 +444,66 @@ impl PirServer {
                 }
             }
         } else {
-            scan(0, scratch.acc_mut(), 0..d0);
+            let (acc, _, tiles) = scratch.scan_buffers(0, 1, tile_words);
+            scan(0, acc, 0..d0, &mut tiles[0]);
         }
         Ok(())
+    }
+
+    /// One segment sweep of the tiled scan: `tile` (rows × queries ×
+    /// (a, b) × `seg.len()` words) receives `Σ_{i ∈ d0_range}
+    /// DB[r][i][seg] ⊙ ct_q[i][seg]` for every row `r` of `rows` and every
+    /// query `q`, fully reduced. The record slot loop runs outside the
+    /// rows, so each query's expansion segment is loaded once per slot
+    /// and serves every row of the tile; each database segment is loaded
+    /// once and serves every query, with the next one prefetched while
+    /// this one computes. Moduli up to 32 bits accumulate lazily — raw
+    /// u64 sums, reduced every [`kernel::lazy_mac_terms`] slots and once
+    /// at the end — and wider ones through the reducing `scan_fma`.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep_segment<E: AsRef<[BfvCiphertext]>>(
+        &self,
+        backend: &dyn VpeBackend,
+        modulus: &Modulus,
+        expanded: &[E],
+        rows: Range<usize>,
+        d0_range: Range<usize>,
+        seg: Range<usize>,
+        tile: &mut [u64],
+    ) {
+        let lazy = kernel::lazy_mac_terms(modulus);
+        let s = seg.len();
+        tile.fill(0);
+        for (pending, i) in d0_range.clone().enumerate() {
+            if lazy.is_some_and(|l| pending > 0 && pending % l == 0) {
+                backend.reduce_lazy(modulus, tile);
+            }
+            for (r, row_tile) in rows.clone().zip(tile.chunks_mut(expanded.len() * 2 * s)) {
+                let w = &self.db.poly_words(r, i)[seg.clone()];
+                let next = if r + 1 < rows.end {
+                    Some((r + 1, i))
+                } else {
+                    (i + 1 < d0_range.end).then_some((rows.start, i + 1))
+                };
+                if let Some((nr, ni)) = next {
+                    kernel::prefetch_row(&self.db.poly_words(nr, ni)[seg.clone()]);
+                }
+                for (exp, acc_ct) in expanded.iter().zip(row_tile.chunks_mut(2 * s)) {
+                    let exp = &exp.as_ref()[i];
+                    let (acc_a, acc_b) = acc_ct.split_at_mut(s);
+                    let ea = &exp.a.as_words()[seg.clone()];
+                    let eb = &exp.b.as_words()[seg.clone()];
+                    if lazy.is_some() {
+                        backend.scan_mac_lazy(acc_a, acc_b, w, ea, eb);
+                    } else {
+                        backend.scan_fma(modulus, acc_a, acc_b, w, ea, eb);
+                    }
+                }
+            }
+        }
+        if lazy.is_some() {
+            backend.reduce_lazy(modulus, tile);
+        }
     }
 
     /// Step (1): `ExpandQuery` — derive the `D0` one-hot ciphertexts.
@@ -494,7 +578,9 @@ impl PirServer {
         col_tor(self.params.he(), rows, query.row_bits(), self.order)
     }
 
-    /// `ColTor` through the selected backend with caller-owned scratch.
+    /// `ColTor` through the selected backend with caller-owned scratch,
+    /// split into subtrees across up to [`PirServer::rowsel_threads`]
+    /// threads.
     ///
     /// # Errors
     /// Fails when the query carries too few selection bits.
@@ -509,6 +595,7 @@ impl PirServer {
             rows,
             query.row_bits(),
             self.order,
+            self.rowsel_threads,
             self.backend.backend(),
             &mut scratch.arena,
         )

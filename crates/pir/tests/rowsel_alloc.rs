@@ -11,8 +11,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ive_he::{BfvCiphertext, HeParams};
+use ive_math::gadget::Gadget;
+use ive_math::kernel::{self, ScalarBackend};
+use ive_math::modulus::Modulus;
+use ive_math::prime::find_ntt_prime_below;
+use ive_math::rns::{Form, RingContext, RnsBasis, RnsPoly};
 use ive_pir::{BackendKind, Database, PirClient, PirParams, PirServer, QueryScratch};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Counts every allocation and reallocation routed through the global
 /// allocator (deallocations are free and not counted).
@@ -41,6 +47,130 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// The four concrete backends (`Auto` resolves to one of them).
+const BACKENDS: [BackendKind; 4] =
+    [BackendKind::Scalar, BackendKind::Optimized, BackendKind::Simd, BackendKind::Avx512];
+
+/// HE parameters on an N = 256 ring over the largest NTT-friendly primes
+/// below `2^bits` for each entry of `bits` (not Table I's 28-bit primes).
+fn custom_he(bits: [u32; 2]) -> HeParams {
+    let moduli = bits.map(|b| Modulus::new(find_ntt_prime_below(b, 512).expect("NTT prime")));
+    let ring = RingContext::new(256, RnsBasis::new(moduli.to_vec()).expect("distinct primes"))
+        .expect("NTT-friendly ring");
+    let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
+    HeParams::new(ring, 16, gadget, 4).expect("valid parameters")
+}
+
+/// A server over uniformly random records, plus `batch` uniformly random
+/// NTT-form "expansions" (the scan only needs their shape and form).
+fn random_scan_inputs(
+    he: &HeParams,
+    d0: usize,
+    dims: u32,
+    batch: usize,
+    seed: u64,
+) -> (PirServer, Vec<Vec<BfvCiphertext>>) {
+    let params = PirParams::new(he.clone(), d0, dims).expect("valid geometry");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let records: Vec<Vec<u8>> = (0..params.num_records())
+        .map(|_| (0..params.record_bytes()).map(|_| rng.gen()).collect())
+        .collect();
+    let db = Database::from_records(&params, &records).expect("records fit");
+    let server = PirServer::new(&params, db).expect("geometry matches");
+    let ring = he.ring();
+    let expanded = (0..batch)
+        .map(|_| {
+            (0..d0)
+                .map(|_| BfvCiphertext {
+                    a: RnsPoly::sample_uniform(ring, Form::Ntt, &mut rng),
+                    b: RnsPoly::sample_uniform(ring, Form::Ntt, &mut rng),
+                })
+                .collect()
+        })
+        .collect();
+    (server, expanded)
+}
+
+/// `Σ_i DB[r][i] ⊙ ct_q[i]` for every query `q` and row `r` (in that
+/// order), built term by term with the scalar oracle's reducing FMA.
+fn oracle(server: &PirServer, expanded: &[Vec<BfvCiphertext>]) -> Vec<(Vec<u64>, Vec<u64>)> {
+    let moduli = server.params().he().ring().basis().moduli();
+    let mut out = Vec::new();
+    for exp in expanded {
+        for r in 0..server.params().num_rows() {
+            let words = exp[0].a.as_words().len();
+            let (mut a, mut b) = (vec![0u64; words], vec![0u64; words]);
+            for (i, ct) in exp.iter().enumerate() {
+                let w = server.database().poly_words(r, i);
+                kernel::fma_poly(&ScalarBackend, moduli, &mut a, w, ct.a.as_words());
+                kernel::fma_poly(&ScalarBackend, moduli, &mut b, w, ct.b.as_words());
+            }
+            out.push((a, b));
+        }
+    }
+    out
+}
+
+fn assert_matches_oracle(oracle: &[(Vec<u64>, Vec<u64>)], scratch: &QueryScratch, what: &str) {
+    for (j, (a, b)) in oracle.iter().enumerate() {
+        let (q, r) = (j / scratch.rows(), j % scratch.rows());
+        let (got_a, got_b) = scratch.row_words(q, r);
+        assert!(got_a == a && got_b == b, "{what}: query {q} row {r} diverged from the oracle");
+    }
+}
+
+/// The scan on rings the Table I primes do not exercise: 31/32-bit
+/// primes, where the lazy interval L(q) is below D0 so the sweep reduces
+/// mid-way, and 40-bit primes, where the lazy path is off and the scan
+/// takes the reducing `scan_fma`. Every backend at 1/2/3 threads must
+/// match the scalar oracle, and the warm scan must allocate nothing.
+fn check_custom_ring(bits: [u32; 2]) {
+    let he = custom_he(bits);
+    let lazy: Vec<_> = he.ring().basis().moduli().iter().map(kernel::lazy_mac_terms).collect();
+    if bits[0] <= 32 {
+        assert!(lazy.iter().all(|l| l.is_some_and(|l| l < 256)), "{bits:?}: L = {lazy:?}");
+    } else {
+        assert!(lazy.iter().all(Option::is_none), "{bits:?}: lazy path must be off");
+    }
+
+    // 16 MiB: 1 thread scans sequentially, 2 split the 16 rows, and 3
+    // split the D0 dimension (16 rows < 3 × 8).
+    let (mut server, expanded) = random_scan_inputs(&he, 256, 4, 1, u64::from(bits[0]));
+    let expect = oracle(&server, &expanded);
+    let mut scratch = QueryScratch::new();
+    for backend in BACKENDS {
+        server.set_backend(backend);
+        for threads in [1usize, 2, 3] {
+            server.set_rowsel_threads(threads);
+            server.row_sel_batch_into(&expanded, &mut scratch).expect("scan");
+            assert_matches_oracle(&expect, &scratch, &format!("{bits:?} {backend} {threads}t"));
+        }
+    }
+
+    // A batch of 8 gets 8-row tiles, so the 16-row sequential scan runs
+    // two of them; the warm scan must allocate nothing.
+    let (mut server, expanded) = random_scan_inputs(&he, 4, 4, 8, u64::from(bits[1]));
+    let expect = oracle(&server, &expanded);
+    for backend in BACKENDS {
+        server.set_backend(backend);
+        for threads in [1usize, 2, 3] {
+            server.set_rowsel_threads(threads);
+            server.row_sel_batch_into(&expanded, &mut scratch).expect("scan");
+            assert_matches_oracle(
+                &expect,
+                &scratch,
+                &format!("{bits:?} batch {backend} {threads}t"),
+            );
+        }
+        server.set_rowsel_threads(1);
+        server.row_sel_batch_into(&expanded, &mut scratch).expect("warm-up");
+        let before = allocations();
+        server.row_sel_batch_into(&expanded, &mut scratch).expect("warm scan");
+        let during = allocations() - before;
+        assert_eq!(during, 0, "warm {bits:?}-bit scan allocated {during} times on {backend}");
+    }
 }
 
 #[test]
@@ -167,6 +297,9 @@ fn warm_row_sel_performs_zero_heap_allocations() {
             );
         }
     }
+
+    check_custom_ring([32, 31]);
+    check_custom_ring([40, 39]);
 
     // Sanity: the accumulators hold a real answer — decode through the
     // normal pipeline and compare against the direct path.

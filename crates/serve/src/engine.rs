@@ -560,6 +560,7 @@ impl ShardedEngine {
                                     rows,
                                     &query.row_bits()[..low_bits],
                                     self.order,
+                                    shard.rowsel_threads(),
                                     shard.backend().backend(),
                                     &mut s.arena,
                                 )
@@ -598,6 +599,7 @@ impl ShardedEngine {
                     entries,
                     &requests[i].1.row_bits()[low_bits..],
                     self.order,
+                    shards[0].rowsel_threads(),
                     backend,
                     &mut scratch.arena,
                 )

@@ -101,6 +101,37 @@ fn paper_parameters_answers_are_identical_across_thread_counts_and_backends() {
 }
 
 #[test]
+fn paper_parameters_coltor_split_is_identical_across_thread_counts() {
+    // d = 3 at Table I: 2 and 3 threads split the tournament into two
+    // 3-CMux subtrees plus the top level on the caller. D0 = 2 keeps the
+    // rest of the pipeline cheap.
+    let params = PirParams::new(HeParams::paper(), 2, 3).expect("valid geometry");
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(20261018);
+    let target = 13;
+    let mut records = vec![Vec::new(); params.num_records()];
+    records[target] = b"won the tournament".to_vec();
+    records[target - 2] = b"lost in the final".to_vec();
+    let db = Database::from_records(&params, &records).expect("fits");
+    let mut server = PirServer::new(&params, db).expect("geometry matches");
+    let mut client = PirClient::new(&params, &mut rng).expect("keygen");
+    let query = client.query(target).expect("in range");
+    let expanded = server.expand(client.public_keys(), &query).expect("keys ok");
+    let rows = server.row_sel(&expanded).expect("shape ok");
+
+    let mut scratch = QueryScratch::new();
+    let mut responses = Vec::new();
+    for threads in [1usize, 2, 3] {
+        server.set_rowsel_threads(threads);
+        responses.push(server.col_tor_step_with(rows.clone(), &query, &mut scratch).expect("bits"));
+    }
+    let plain = client.decode(&query, &responses[0]).expect("decrypts");
+    assert_eq!(&plain[..records[target].len()], &records[target][..]);
+    for (threads, response) in [2, 3].iter().zip(&responses[1..]) {
+        assert!(*response == responses[0], "ColTor diverged at {threads} threads");
+    }
+}
+
+#[test]
 fn paper_parameters_query_sizes_match_section_vi() {
     // §VI-C: "each query transfers only a few MBs of client-specific
     // data" — check the actual object sizes at Table I parameters.
