@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test verify bench figures serve-demo hotpath scaling update-churn kv-demo doc fmt fmt-check clippy lint clean
+.PHONY: all build test verify benchmark bench figures serve-demo hotpath scaling update-churn kv-demo doc fmt fmt-check clippy lint clean
 
 all: build
 
@@ -18,6 +18,16 @@ test:
 ## Tier-1 verify: exactly what CI runs as the gate.
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
+
+## One run of the repository benchmark: BENCHMARK.json's command at its
+## 35 s run length, e.g. `make benchmark WORKLOAD=table1-2gib-batch SEED=3
+## TRACE=1`. Run it alternately on two checkouts for A/B pairs.
+WORKLOAD ?= table1-64mib
+SEED ?= 1
+TRACE ?= 0
+benchmark:
+	$(CARGO) run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+		--workload $(WORKLOAD) --seed $(SEED) --seconds 35 --trace $(TRACE)
 
 ## Run the four Criterion benches (math, HE, PIR pipeline, accel model).
 bench:

@@ -202,6 +202,35 @@ pub fn peek_tag(bytes: &Bytes) -> Result<Tag, PirError> {
     Tag::from_byte(raw).ok_or_else(|| PirError::Wire(format!("unknown tag {raw}")))
 }
 
+/// The request id a server reply frame answers — the leading `u64` of
+/// every response, ack, stats and error frame — or `None` for frames that
+/// carry none (the handshake replies, and every request frame). The hook a
+/// client matches replies to its outstanding requests with, without
+/// decoding the payload.
+///
+/// # Errors
+/// Fails on a bad header, an unknown tag, or a reply too short to hold
+/// its id.
+pub fn peek_request_id(bytes: &Bytes) -> Result<Option<u64>, PirError> {
+    let tag = peek_tag(bytes)?;
+    let mut buf = bytes.clone();
+    read_header(&mut buf)?;
+    match tag {
+        Tag::SessionResponse
+        | Tag::CompressedResponse
+        | Tag::KsResponse
+        | Tag::UpdateAck
+        | Tag::StatsResponse
+        | Tag::Error => {
+            if buf.remaining() < 8 {
+                return Err(PirError::Wire(format!("truncated {} frame", tag.name())));
+            }
+            Ok(Some(buf.get_u64()))
+        }
+        _ => Ok(None),
+    }
+}
+
 /// Serializes one polynomial (form byte + residue words).
 pub fn write_poly(buf: &mut BytesMut, poly: &RnsPoly) {
     put_header(buf, Tag::Poly);
@@ -1362,6 +1391,21 @@ mod tests {
     use crate::params::PirParams;
     use crate::server::PirServer;
     use rand::SeedableRng;
+
+    #[test]
+    fn reply_frames_expose_their_request_id() {
+        let params = PirParams::toy();
+        let he = params.he();
+        let ct = BfvCiphertext::zero(he);
+        assert_eq!(peek_request_id(&encode_session_response(7, &ct)).unwrap(), Some(7));
+        assert_eq!(peek_request_id(&encode_ks_response(8, &ct)).unwrap(), Some(8));
+        assert_eq!(peek_request_id(&encode_update_ack(9, 3, 1)).unwrap(), Some(9));
+        assert_eq!(peek_request_id(&encode_error_frame(0, "x")).unwrap(), Some(0));
+        assert_eq!(peek_request_id(&encode_welcome(5)).unwrap(), None, "no id in a Welcome");
+        assert_eq!(peek_request_id(&encode_get_stats(4)).unwrap(), None, "requests carry none");
+        let truncated = encode_update_ack(9, 3, 1).slice(..10);
+        assert!(peek_request_id(&truncated).is_err());
+    }
 
     #[test]
     fn query_roundtrip_preserves_answers() {

@@ -11,18 +11,26 @@
 //!
 //! A [`Connection`] built with [`Connection::dial`] keeps its
 //! [`Connector`], so the typed clients can *recover* from transient
-//! failures instead of surfacing them: a [`RetryPolicy`] bounds the
-//! attempts and paces them with capped exponential backoff
-//! (deterministically jittered), a dead transport is re-dialed and the
-//! handshake replayed — key material is client-side, so an evicted or
-//! lost session re-registers with one `Hello` — and in-flight queries
-//! are resubmitted under the new session. Updates are made retry-safe
-//! by idempotency: every batch carries a process-unique request id the
-//! server remembers, so a retried already-acked batch is re-acked, never
-//! re-applied. [`RetryCounters`] (shared via
-//! [`Connection::retry_counters`]) expose what the recovery machinery
-//! did.
+//! failures instead of surfacing them. One retry driver runs under all
+//! three: a [`RetryPolicy`] bounds the attempts and paces them with
+//! capped exponential backoff (deterministically jittered), a dead
+//! transport is re-dialed, an `unknown session` refusal re-registers in
+//! place — key material is client-side, so an evicted or lost session
+//! costs one `Hello` — and a `Busy` rejection backs off and retries on
+//! the live connection. In-flight queries are resubmitted under the new
+//! session. Updates are made retry-safe by idempotency: every batch
+//! carries a process-unique request id the server remembers, so a
+//! retried already-acked batch is re-acked, never re-applied.
+//!
+//! Replies are matched by one rule: a frame answers an exchange only if
+//! it carries that exchange's request id (a `Hello` is the id-0
+//! exchange), or is an `Error` frame with id 0 — a failure the server
+//! could not attribute. Every other frame is stale: the index client
+//! keeps it for its pipelined reads, the others drop it.
+//! [`RetryCounters`] (shared via [`Connection::retry_counters`]) expose
+//! what the recovery machinery did.
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,7 +38,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use ive_pir::kspir::{KsPirClient, KsPirParams};
-use ive_pir::{wire, KvSchema, PirClient, PirParams, RecordUpdate};
+use ive_pir::{wire, KvSchema, PirClient, PirParams, PirQuery, RecordUpdate};
 
 use crate::metrics::ServerStats;
 use crate::transport::{BoxedConn, Connector, FrameRx, FrameTx, Received};
@@ -150,9 +158,71 @@ fn unique_request_id() -> u64 {
     }
 }
 
+/// A server frame's tag and the request id it answers (0 for the id-less
+/// handshake replies: a Hello is the id-0 exchange).
+fn reply_id(frame: &Bytes) -> Result<(wire::Tag, u64), ServeError> {
+    Ok((wire::peek_tag(frame)?, wire::peek_request_id(frame)?.unwrap_or(0)))
+}
+
+/// The single frame-matching rule: a frame answers an exchange only if it
+/// carries one of the exchange's request ids, or is an `Error` frame with
+/// id 0 (a failure the server could not attribute). Every other frame is
+/// stale.
+fn claims(tag: wire::Tag, id: u64, wants: impl Fn(u64) -> bool) -> bool {
+    wants(id) || (tag == wire::Tag::Error && id == 0)
+}
+
+/// The typed error an `Error` frame carries.
+fn remote(frame: &Bytes) -> Result<ServeError, ServeError> {
+    let (request_id, message) = wire::decode_error_frame(frame)?;
+    Ok(ServeError::Remote { request_id, message })
+}
+
+/// What a typed client adds to the shared [`Link`] machinery: its key
+/// registration, where stale frames go, and what a re-dial loses.
+trait Role {
+    /// The frame registering this client's keys ([`wire::Tag::Hello`] or
+    /// [`wire::Tag::KsHello`]); `None` for a sessionless client.
+    fn hello(&self) -> Option<Bytes>;
+
+    /// Adopts the server's Welcome, returning the new session id.
+    fn welcome(&mut self, frame: &Bytes) -> Result<u64, ServeError>;
+
+    /// A frame that answered no exchange (dropped unless overridden).
+    fn stale(&mut self, _frame: Bytes) {}
+
+    /// The connection was replaced: requests in flight on the old one
+    /// are lost.
+    fn redialed(&mut self) {}
+}
+
+/// The role of the sessionless [`UpdateClient`].
+struct Sessionless;
+
+impl Role for Sessionless {
+    fn hello(&self) -> Option<Bytes> {
+        None
+    }
+
+    fn welcome(&mut self, _frame: &Bytes) -> Result<u64, ServeError> {
+        Err(ServeError::Protocol("an update connection holds no session".into()))
+    }
+}
+
+/// How the retry driver recovers from one failed attempt.
+enum Recovery {
+    /// The server forgot the session: re-register on this connection.
+    Rehello,
+    /// Overload: back off and retry on this connection.
+    Backoff,
+    /// The transport failed: back off and dial a fresh connection.
+    Redial,
+}
+
 /// The shared plumbing under every typed client: the live frame pair
 /// plus everything needed to replace it — the connector, the retry
-/// policy pacing recovery, the per-response deadline, and the counters.
+/// policy pacing recovery, the per-response deadline, and the counters —
+/// and the session the client holds on it.
 struct Link {
     rx: Box<dyn FrameRx>,
     tx: Box<dyn FrameTx>,
@@ -160,37 +230,155 @@ struct Link {
     retry: RetryPolicy,
     timeout: Duration,
     counters: Arc<RetryCounters>,
+    /// The registered session; `None` until the next (re-)Hello.
+    session: Option<u64>,
 }
 
 impl Link {
+    fn new((rx, tx): BoxedConn, connector: Option<Box<dyn Connector>>, retry: RetryPolicy) -> Self {
+        Link {
+            rx,
+            tx,
+            connector,
+            retry,
+            timeout: RESPONSE_TIMEOUT,
+            counters: Arc::default(),
+            session: None,
+        }
+    }
+
     /// Blocks for the next frame under the configured deadline.
     fn recv(&mut self) -> Result<Bytes, ServeError> {
         recv_frame(self.rx.as_mut(), self.timeout)
     }
 
-    /// Whether recovery is even possible: a connector to re-dial with
-    /// and a retry budget beyond the first attempt.
-    fn can_recover(&self) -> bool {
-        self.connector.is_some() && self.retry.max_attempts > 1
-    }
-
-    /// Replaces the frame pair with a freshly dialed connection.
-    fn redial(&mut self) -> Result<(), ServeError> {
-        let connector = self.connector.as_ref().ok_or(ServeError::Closed)?;
-        let (rx, tx) = connector.dial()?;
-        self.rx = rx;
-        self.tx = tx;
-        Ok(())
-    }
-
-    /// Books a failure into the counters (timeouts separately) and
-    /// sleeps out the backoff for retry `attempt`.
-    fn note_retry(&self, err: &ServeError, attempt: u32) {
-        if matches!(err, ServeError::Timeout) {
-            self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+    /// Waits for the frame answering the exchange whose request ids
+    /// `wants` accepts, by the [`claims`] rule; stale frames go to
+    /// `role`. An answering `Error` frame becomes the typed error.
+    fn await_reply<R: Role>(
+        &mut self,
+        role: &mut R,
+        wants: impl Fn(u64) -> bool,
+    ) -> Result<(wire::Tag, u64, Bytes), ServeError> {
+        loop {
+            let frame = self.recv()?;
+            let (tag, id) = reply_id(&frame)?;
+            if !claims(tag, id, &wants) {
+                role.stale(frame);
+            } else if tag == wire::Tag::Error {
+                return Err(remote(&frame)?);
+            } else {
+                return Ok((tag, id, frame));
+            }
         }
-        std::thread::sleep(self.retry.backoff(attempt));
-        self.counters.retries.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Sends `frame` and waits for the one reply to `request_id`.
+    fn exchange<R: Role>(
+        &mut self,
+        role: &mut R,
+        frame: &[u8],
+        request_id: u64,
+    ) -> Result<Bytes, ServeError> {
+        self.tx.send(frame)?;
+        Ok(self.await_reply(role, |id| id == request_id)?.2)
+    }
+
+    /// The session id, registering `role`'s keys first (one Hello →
+    /// Welcome exchange) when the link holds none. Sessionless roles get
+    /// 0.
+    fn session<R: Role>(&mut self, role: &mut R) -> Result<u64, ServeError> {
+        if let Some(id) = self.session {
+            return Ok(id);
+        }
+        let Some(hello) = role.hello() else { return Ok(0) };
+        let welcome = self.exchange(role, &hello, 0)?;
+        let id = role.welcome(&welcome)?;
+        self.session = Some(id);
+        Ok(id)
+    }
+
+    /// Ships one idempotent mutation (a row batch or a KV put/delete) and
+    /// waits for its [`wire::Tag::UpdateAck`]: `(epoch, applied)`.
+    fn ack<R: Role>(
+        &mut self,
+        role: &mut R,
+        frame: &[u8],
+        request_id: u64,
+    ) -> Result<(u64, u32), ServeError> {
+        let reply = self.exchange(role, frame, request_id)?;
+        let (_, epoch, applied) = wire::decode_update_ack(&reply)?;
+        Ok((epoch, applied))
+    }
+
+    /// Scrapes the server's live counters: sends [`wire::Tag::GetStats`]
+    /// and rebuilds [`ServerStats`] from the raw integer report — the
+    /// same derivation the server runs in-process.
+    fn stats<R: Role>(&mut self, role: &mut R) -> Result<ServerStats, ServeError> {
+        let request_id = unique_request_id();
+        let reply = self.exchange(role, &wire::encode_get_stats(request_id), request_id)?;
+        let (_, report) = wire::decode_stats_response(&reply)?;
+        Ok(ServerStats::from_report(&report))
+    }
+
+    /// How (and whether) a failed attempt can be recovered: session loss
+    /// and overload heal on the live connection; any other transient
+    /// failure (transport, timeout, protocol) needs a connector to re-dial
+    /// with. Other remote rejections are final.
+    fn recovery(&self, err: &ServeError) -> Option<Recovery> {
+        if err.is_unknown_session() {
+            Some(Recovery::Rehello)
+        } else if err.is_busy() {
+            Some(Recovery::Backoff)
+        } else if err.is_transient() && self.connector.is_some() {
+            Some(Recovery::Redial)
+        } else {
+            None
+        }
+    }
+
+    /// The one retry driver under every client: runs `op` until it
+    /// succeeds, fails unrecoverably, or spends the policy's attempt
+    /// budget. Between attempts it books the retry (and any timeout),
+    /// then recovers: a lost session is forgotten so `op`'s next
+    /// [`Link::session`] re-Hellos in place, overload backs off, and a
+    /// transport failure backs off and re-dials — counted as a reconnect,
+    /// with the session and `role`'s in-flight work forgotten.
+    fn retrying<R: Role, T>(
+        &mut self,
+        role: &mut R,
+        mut op: impl FnMut(&mut R, &mut Link) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        let mut attempt = 0u32;
+        loop {
+            let err = match op(role, self) {
+                Ok(value) => return Ok(value),
+                Err(err) => err,
+            };
+            let recovery = match self.recovery(&err) {
+                Some(recovery) if attempt + 1 < self.retry.max_attempts => recovery,
+                _ => return Err(err),
+            };
+            if matches!(err, ServeError::Timeout) {
+                self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+            self.counters.retries.fetch_add(1, Ordering::Relaxed);
+            match recovery {
+                Recovery::Rehello => self.session = None,
+                Recovery::Backoff => std::thread::sleep(self.retry.backoff(attempt)),
+                Recovery::Redial => {
+                    std::thread::sleep(self.retry.backoff(attempt));
+                    if let Some(Ok((rx, tx))) = self.connector.as_ref().map(|c| c.dial()) {
+                        self.rx = rx;
+                        self.tx = tx;
+                        self.session = None;
+                        role.redialed();
+                        self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            attempt += 1;
+        }
     }
 }
 
@@ -227,17 +415,7 @@ impl Connection {
     /// connection cannot re-dial, so the policy defaults to
     /// [`RetryPolicy::none`].
     pub fn new(conn: BoxedConn) -> Self {
-        let (rx, tx) = conn;
-        Connection {
-            link: Link {
-                rx,
-                tx,
-                connector: None,
-                retry: RetryPolicy::none(),
-                timeout: RESPONSE_TIMEOUT,
-                counters: Arc::default(),
-            },
-        }
+        Connection { link: Link::new(conn, None, RetryPolicy::none()) }
     }
 
     /// Dials a fresh connection through `connector` and keeps the
@@ -248,17 +426,8 @@ impl Connection {
     /// Fails when the initial dial fails (later dials are the retry
     /// machinery's problem).
     pub fn dial(connector: impl Connector + 'static) -> Result<Self, ServeError> {
-        let (rx, tx) = connector.dial()?;
-        Ok(Connection {
-            link: Link {
-                rx,
-                tx,
-                connector: Some(Box::new(connector)),
-                retry: RetryPolicy::default(),
-                timeout: RESPONSE_TIMEOUT,
-                counters: Arc::default(),
-            },
-        })
+        let conn = connector.dial()?;
+        Ok(Connection { link: Link::new(conn, Some(Box::new(connector)), RetryPolicy::default()) })
     }
 
     /// Overrides the retry policy ([`RetryPolicy::none`] disables
@@ -292,7 +461,15 @@ impl Connection {
         params: &PirParams,
         rng: rand::rngs::StdRng,
     ) -> Result<ServeClient, ServeError> {
-        ServeClient::handshake(params, self.link, rng)
+        let mut role = IndexRole {
+            client: PirClient::new(params, rng)?,
+            next_request: 1,
+            pending: HashMap::new(),
+            stash: VecDeque::new(),
+        };
+        let mut link = self.link;
+        link.retrying(&mut role, |role, link| link.session(role))?;
+        Ok(ServeClient { link, role })
     }
 
     /// Returns an [`UpdateClient`] (updates exchange no handshake).
@@ -312,7 +489,15 @@ impl Connection {
         params: &KsPirParams,
         rng: rand::rngs::StdRng,
     ) -> Result<KvClient, ServeError> {
-        KvClient::handshake(params, self.link, rng)
+        let mut role = KeywordRole {
+            params: params.clone(),
+            client: KsPirClient::new(params, rng)?,
+            schema: None,
+            next_request: 1,
+        };
+        let mut link = self.link;
+        link.retrying(&mut role, |role, link| link.session(role))?;
+        Ok(KvClient { link, role })
     }
 }
 
@@ -328,295 +513,114 @@ impl Connection {
 /// `next_record` take a little longer.
 pub struct ServeClient {
     link: Link,
-    session_id: u64,
-    next_request: u64,
-    client: PirClient<rand::rngs::StdRng>,
-    /// Queries awaiting their response, keyed by request id (needed to
-    /// decode the response that answers them — and to *resubmit* after a
-    /// reconnect).
-    pending: std::collections::HashMap<u64, ive_pir::PirQuery>,
-    /// Frames received while waiting for a specific response (e.g. query
-    /// responses arriving during a [`ServeClient::stats`] scrape), to be
-    /// consumed by the next [`ServeClient::next_record`] call.
-    stash: std::collections::VecDeque<Bytes>,
+    role: IndexRole,
 }
 
-impl ServeClient {
-    /// Generates keys, uploads them over `conn`, and waits for the
-    /// session id — the one-time expensive step (§V key registration).
-    ///
-    /// # Errors
-    /// Fails on keygen, transport, or handshake-rejection errors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Connection::new(conn).into_serve_client(params, rng)`"
-    )]
-    pub fn connect(
-        params: &PirParams,
-        conn: BoxedConn,
-        rng: rand::rngs::StdRng,
-    ) -> Result<Self, ServeError> {
-        Connection::new(conn).into_serve_client(params, rng)
+/// A submitted query awaiting its answer.
+struct InFlight {
+    query: PirQuery,
+    /// The session it was last sent under; `None` until it is (re)sent.
+    sent_under: Option<u64>,
+}
+
+/// What the index client keeps beyond the shared [`Link`]: its keys, the
+/// queries in flight (to decode their answers and to resubmit them), and
+/// the frames stashed while another exchange was waiting.
+struct IndexRole {
+    client: PirClient<rand::rngs::StdRng>,
+    next_request: u64,
+    pending: HashMap<u64, InFlight>,
+    /// Frames received while waiting for another exchange (e.g. query
+    /// responses arriving during a [`ServeClient::stats`] scrape or a
+    /// re-Hello), consumed by the next [`ServeClient::next_record`].
+    stash: VecDeque<Bytes>,
+}
+
+impl Role for IndexRole {
+    fn hello(&self) -> Option<Bytes> {
+        Some(wire::encode_hello(self.client.public_keys()))
     }
 
-    /// The handshake body behind [`Connection::into_serve_client`],
-    /// retrying (with re-dials) under the link's policy.
-    fn handshake(
-        params: &PirParams,
-        mut link: Link,
-        rng: rand::rngs::StdRng,
-    ) -> Result<Self, ServeError> {
-        let client = PirClient::new(params, rng)?;
-        let mut attempt = 0u32;
-        let session_id = loop {
-            match Self::hello_once(&mut link, &client) {
-                Ok(id) => break id,
-                Err(e)
-                    if e.is_transient()
-                        && link.can_recover()
-                        && attempt + 1 < link.retry.max_attempts =>
-                {
-                    link.note_retry(&e, attempt);
-                    attempt += 1;
-                    if link.redial().is_ok() {
-                        link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        Ok(ServeClient {
-            link,
-            session_id,
-            next_request: 1,
-            client,
-            pending: std::collections::HashMap::new(),
-            stash: std::collections::VecDeque::new(),
-        })
+    fn welcome(&mut self, frame: &Bytes) -> Result<u64, ServeError> {
+        Ok(wire::decode_welcome(frame)?)
     }
 
-    /// One Hello → Welcome exchange on the current connection.
-    fn hello_once(
-        link: &mut Link,
-        client: &PirClient<rand::rngs::StdRng>,
-    ) -> Result<u64, ServeError> {
-        link.tx.send(&wire::encode_hello(client.public_keys()))?;
-        let frame = link.recv()?;
-        match wire::peek_tag(&frame)? {
-            wire::Tag::Welcome => Ok(wire::decode_welcome(&frame)?),
-            wire::Tag::Error => {
-                let (request_id, message) = wire::decode_error_frame(&frame)?;
-                Err(ServeError::Remote { request_id, message })
-            }
-            tag => {
-                Err(ServeError::Protocol(format!("expected Welcome, server sent {}", tag.name())))
-            }
+    fn stale(&mut self, frame: Bytes) {
+        self.stash.push_back(frame);
+    }
+
+    fn redialed(&mut self) {
+        for query in self.pending.values_mut() {
+            query.sent_under = None;
         }
     }
+}
 
-    /// The session id the server assigned (may change after recovery).
-    #[inline]
-    pub fn session_id(&self) -> u64 {
-        self.session_id
+impl IndexRole {
+    /// Sends every in-flight query not yet sent under the current session
+    /// (new, refused, or lost with a dead connection), registering first
+    /// if the link holds no session.
+    fn flush(&mut self, link: &mut Link) -> Result<(), ServeError> {
+        let session = link.session(self)?;
+        for (&id, query) in self.pending.iter_mut().filter(|(_, q)| q.sent_under.is_none()) {
+            link.tx.send(&wire::encode_session_query(session, id, &query.query))?;
+            query.sent_under = Some(session);
+        }
+        Ok(())
     }
 
-    /// Number of queries currently in flight.
-    #[inline]
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Ships a query for record `index` without waiting for the answer;
-    /// returns its request id. Collect results with
-    /// [`ServeClient::next_record`].
-    ///
-    /// # Errors
-    /// Fails on out-of-range indices or transport errors (after the
-    /// retry budget, when recovery is configured).
-    pub fn submit(&mut self, index: usize) -> Result<u64, ServeError> {
-        let query = self.client.query(index)?;
-        let request_id = self.next_request;
-        self.next_request += 1;
-        self.pending.insert(request_id, query);
-        let frame =
-            wire::encode_session_query(self.session_id, request_id, &self.pending[&request_id]);
-        if let Err(e) = self.link.tx.send(&frame) {
-            // Recovery resubmits every pending query, this one included;
-            // on failure the query is withdrawn so `pending` stays
-            // truthful.
-            if let Err(e) = self.recover(e) {
-                self.pending.remove(&request_id);
-                return Err(e);
-            }
-        }
-        Ok(request_id)
-    }
-
-    /// Re-registers this client's keys on the *current* connection (an
-    /// evicted session recovering in place) and adopts the new session
-    /// id. Response frames arriving meanwhile are stashed.
-    fn rehello(&mut self) -> Result<(), ServeError> {
-        self.link.tx.send(&wire::encode_hello(self.client.public_keys()))?;
-        loop {
-            let frame = self.link.recv()?;
-            match wire::peek_tag(&frame)? {
-                wire::Tag::Welcome => {
-                    self.session_id = wire::decode_welcome(&frame)?;
-                    return Ok(());
-                }
-                wire::Tag::Error => {
-                    let (request_id, message) = wire::decode_error_frame(&frame)?;
-                    return Err(ServeError::Remote { request_id, message });
-                }
-                _ => self.stash.push_back(frame),
-            }
-        }
-    }
-
-    /// Full recovery after a transport failure: re-dial, re-Hello, and
-    /// resubmit every pending query under the new session. Returns the
-    /// original error when the budget is exhausted or recovery is not
-    /// configured.
-    fn recover(&mut self, err: ServeError) -> Result<(), ServeError> {
-        if !self.link.can_recover() {
-            return Err(err);
-        }
-        if matches!(err, ServeError::Timeout) {
-            self.link.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-        for attempt in 0..self.link.retry.max_attempts.saturating_sub(1) {
-            std::thread::sleep(self.link.retry.backoff(attempt));
-            self.link.counters.retries.fetch_add(1, Ordering::Relaxed);
-            if self.link.redial().is_err() {
-                continue;
-            }
-            // The old socket died with responses possibly unread; the
-            // stash only holds frames already safely received, so it
-            // stays valid.
-            if self.rehello().is_err() {
-                continue;
-            }
-            self.link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-            let replay: Vec<Bytes> = self
-                .pending
-                .iter()
-                .map(|(&id, q)| wire::encode_session_query(self.session_id, id, q))
-                .collect();
-            if replay.iter().try_for_each(|f| self.link.tx.send(f)).is_ok() {
-                return Ok(());
-            }
-        }
-        Err(err)
-    }
-
-    /// Waits for the next response to any in-flight query and decodes it.
-    ///
-    /// With recovery configured, transient failures (dead transport,
-    /// timeouts, evicted sessions, overload rejections) are healed
-    /// in-line — reconnect + re-Hello + resubmit — and only surface once
-    /// the retry budget is spent.
-    ///
-    /// # Errors
-    /// Fails on protocol, transport, or server-reported errors (a remote
-    /// error consumes the in-flight request it names).
-    pub fn next_record(&mut self) -> Result<(u64, Vec<u8>), ServeError> {
-        if self.pending.is_empty() {
-            return Err(ServeError::Protocol("no query in flight".into()));
-        }
+    /// One attempt at the next answer: resubmit what needs it, then read
+    /// frames (stash first) until one answers an in-flight query. A
+    /// refusal that can heal (`unknown session`, `Busy`) marks its query
+    /// for resubmission; one naming a session this client has already
+    /// replaced is resubmitted at once, without another Hello.
+    fn next_answer(&mut self, link: &mut Link) -> Result<(u64, Vec<u8>), ServeError> {
         let he = self.client.params().he().clone();
-        let mut attempts = 0u32;
         loop {
+            self.flush(link)?;
             let frame = match self.stash.pop_front() {
                 Some(frame) => frame,
-                None => match self.link.recv() {
-                    Ok(frame) => frame,
-                    Err(e)
-                        if e.is_transient()
-                            && self.link.can_recover()
-                            && attempts + 1 < self.link.retry.max_attempts =>
-                    {
-                        attempts += 1;
-                        self.recover(e)?;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                },
+                None => link.recv()?,
             };
-            match wire::peek_tag(&frame)? {
+            let (tag, id) = reply_id(&frame)?;
+            // Unclaimed frames are duplicate answers of resubmitted
+            // queries (or leftovers of other exchanges): dropped.
+            if !claims(tag, id, |id| self.pending.contains_key(&id)) {
+                continue;
+            }
+            match tag {
                 wire::Tag::SessionResponse => {
-                    let (request_id, ct) = wire::decode_session_response(&he, &frame)?;
-                    match self.pending.remove(&request_id) {
-                        Some(query) => return Ok((request_id, self.client.decode(&query, &ct)?)),
-                        // A duplicate answer (query resubmitted while its
-                        // first answer was in flight) is dropped, not an
-                        // error, when recovery is on.
-                        None if self.link.can_recover() => continue,
-                        None => {
-                            return Err(ServeError::Protocol(format!(
-                                "response for unknown request {request_id}"
-                            )))
-                        }
-                    }
+                    let (_, ct) = wire::decode_session_response(&he, &frame)?;
+                    let query = self
+                        .pending
+                        .remove(&id)
+                        .expect("claimed frames name an in-flight query")
+                        .query;
+                    return Ok((id, self.client.decode(&query, &ct)?));
                 }
                 // A compress_responses server ships modulus-switched
                 // answers; the client decodes either form transparently.
                 wire::Tag::CompressedResponse => {
-                    let (request_id, ct) = wire::decode_compressed_response(&he, &frame)?;
-                    match self.pending.remove(&request_id) {
-                        Some(query) => {
-                            return Ok((request_id, self.client.decode_compressed(&query, &ct)?))
-                        }
-                        None if self.link.can_recover() => continue,
-                        None => {
-                            return Err(ServeError::Protocol(format!(
-                                "response for unknown request {request_id}"
-                            )))
-                        }
-                    }
+                    let (_, ct) = wire::decode_compressed_response(&he, &frame)?;
+                    let query = self
+                        .pending
+                        .remove(&id)
+                        .expect("claimed frames name an in-flight query")
+                        .query;
+                    return Ok((id, self.client.decode_compressed(&query, &ct)?));
                 }
                 wire::Tag::Error => {
-                    let (request_id, message) = wire::decode_error_frame(&frame)?;
-                    let remote = ServeError::Remote { request_id, message };
-                    let retryable = request_id != 0
-                        && self.pending.contains_key(&request_id)
-                        && self.link.retry.max_attempts > 1
-                        && attempts + 1 < self.link.retry.max_attempts;
-                    if retryable && remote.is_unknown_session() {
-                        // LRU-evicted session: re-register on this very
-                        // connection and resubmit the rejected query.
-                        attempts += 1;
-                        self.link.counters.retries.fetch_add(1, Ordering::Relaxed);
-                        self.rehello()?;
-                        let resend = wire::encode_session_query(
-                            self.session_id,
-                            request_id,
-                            &self.pending[&request_id],
-                        );
-                        self.link.tx.send(&resend)?;
-                        continue;
+                    let err = remote(&frame)?;
+                    if let Some(query) = self.pending.get_mut(&id) {
+                        if err.is_unknown_session() || err.is_busy() {
+                            let stale_session = query.sent_under != link.session;
+                            query.sent_under = None;
+                            if err.is_unknown_session() && stale_session {
+                                continue;
+                            }
+                        }
                     }
-                    if retryable && remote.is_busy() {
-                        // Overload shed: back off and resubmit.
-                        attempts += 1;
-                        self.link.note_retry(&remote, attempts - 1);
-                        let resend = wire::encode_session_query(
-                            self.session_id,
-                            request_id,
-                            &self.pending[&request_id],
-                        );
-                        self.link.tx.send(&resend)?;
-                        continue;
-                    }
-                    if request_id == 0 {
-                        // Connection-level failure (the server could not
-                        // even decode the offending frame, so it cannot
-                        // name it): every in-flight query is lost.
-                        // Clearing them keeps the connection usable.
-                        self.pending.clear();
-                    } else {
-                        self.pending.remove(&request_id);
-                    }
-                    return Err(remote);
+                    return Err(err);
                 }
                 tag => {
                     return Err(ServeError::Protocol(format!(
@@ -627,6 +631,66 @@ impl ServeClient {
             }
         }
     }
+}
+
+impl ServeClient {
+    /// The session id the server assigned (may change after recovery).
+    #[inline]
+    pub fn session_id(&self) -> u64 {
+        self.link.session.unwrap_or(0)
+    }
+
+    /// Number of queries currently in flight.
+    #[inline]
+    pub fn in_flight(&self) -> usize {
+        self.role.pending.len()
+    }
+
+    /// Ships a query for record `index` without waiting for the answer;
+    /// returns its request id. Collect results with
+    /// [`ServeClient::next_record`].
+    ///
+    /// # Errors
+    /// Fails on out-of-range indices or transport errors (after the
+    /// retry budget, when recovery is configured).
+    pub fn submit(&mut self, index: usize) -> Result<u64, ServeError> {
+        let query = self.role.client.query(index)?;
+        let request_id = self.role.next_request;
+        self.role.next_request += 1;
+        self.role.pending.insert(request_id, InFlight { query, sent_under: None });
+        if let Err(e) = self.link.retrying(&mut self.role, IndexRole::flush) {
+            // Withdrawn on failure so `pending` stays truthful.
+            self.role.pending.remove(&request_id);
+            return Err(e);
+        }
+        Ok(request_id)
+    }
+
+    /// Waits for the next response to any in-flight query and decodes it.
+    ///
+    /// With recovery configured, transient failures (dead transport,
+    /// timeouts, evicted sessions, overload rejections) are healed
+    /// in-line — reconnect or re-Hello, then resubmit — and only surface
+    /// once the retry budget is spent.
+    ///
+    /// # Errors
+    /// Fails on protocol, transport, or server-reported errors (a remote
+    /// error consumes the in-flight request it names; one the server
+    /// could not attribute consumes them all).
+    pub fn next_record(&mut self) -> Result<(u64, Vec<u8>), ServeError> {
+        if self.role.pending.is_empty() {
+            return Err(ServeError::Protocol("no query in flight".into()));
+        }
+        let answer = self.link.retrying(&mut self.role, IndexRole::next_answer);
+        if let Err(ServeError::Remote { request_id, .. }) = &answer {
+            if *request_id == 0 {
+                self.role.pending.clear();
+            } else {
+                self.role.pending.remove(request_id);
+            }
+        }
+        answer
+    }
 
     /// Retrieves record `index` privately: builds the query, ships it
     /// under the session id, and decodes the matching response.
@@ -635,10 +699,10 @@ impl ServeClient {
     /// Fails on protocol, transport, or server-reported errors, and when
     /// called with pipelined queries still in flight.
     pub fn retrieve(&mut self, index: usize) -> Result<Vec<u8>, ServeError> {
-        if !self.pending.is_empty() {
+        if !self.role.pending.is_empty() {
             return Err(ServeError::Protocol(format!(
                 "retrieve with {} pipelined queries in flight",
-                self.pending.len()
+                self.role.pending.len()
             )));
         }
         let want = self.submit(index)?;
@@ -663,33 +727,7 @@ impl ServeClient {
     /// # Errors
     /// Fails on protocol, transport, or server-reported errors.
     pub fn stats(&mut self) -> Result<ServerStats, ServeError> {
-        let request_id = self.next_request;
-        self.next_request += 1;
-        self.link.tx.send(&wire::encode_get_stats(request_id))?;
-        loop {
-            let frame = self.link.recv()?;
-            match wire::peek_tag(&frame)? {
-                wire::Tag::StatsResponse => {
-                    let (got, report) = wire::decode_stats_response(&frame)?;
-                    if got != request_id {
-                        return Err(ServeError::Protocol(format!(
-                            "stats for request {got} while {request_id} was in flight"
-                        )));
-                    }
-                    return Ok(ServerStats::from_report(&report));
-                }
-                wire::Tag::Error => {
-                    let (got, message) = wire::decode_error_frame(&frame)?;
-                    if got == request_id || got == 0 {
-                        return Err(ServeError::Remote { request_id: got, message });
-                    }
-                    // An in-flight query's failure: queue it for
-                    // next_record like any other response.
-                    self.stash.push_back(frame);
-                }
-                _ => self.stash.push_back(frame),
-            }
-        }
+        self.link.stats(&mut self.role)
     }
 }
 
@@ -740,12 +778,6 @@ pub struct UpdateClient {
 }
 
 impl UpdateClient {
-    /// Wraps a connection; no handshake is exchanged.
-    #[deprecated(since = "0.1.0", note = "use `Connection::new(conn).into_update_client()`")]
-    pub fn connect(conn: BoxedConn) -> Self {
-        Connection::new(conn).into_update_client()
-    }
-
     /// Ships one batch of deltas and blocks for its acknowledgement,
     /// returning `(epoch, applied)` — the epoch the batch committed as
     /// and the number of deltas the server confirmed. With recovery
@@ -758,59 +790,7 @@ impl UpdateClient {
     pub fn apply(&mut self, updates: &[RecordUpdate]) -> Result<(u64, u32), ServeError> {
         let request_id = unique_request_id();
         let frame = wire::encode_update_rows(request_id, updates).map_err(ServeError::Pir)?;
-        let mut attempt = 0u32;
-        loop {
-            match self.apply_once(&frame, request_id) {
-                Ok(acked) => return Ok(acked),
-                Err(e)
-                    if e.is_transient()
-                        && self.link.retry.max_attempts > 1
-                        && attempt + 1 < self.link.retry.max_attempts =>
-                {
-                    // Remote rejections (busy) retry on the live
-                    // connection; transport failures need a re-dial.
-                    let needs_redial = !matches!(e, ServeError::Remote { .. });
-                    if needs_redial && self.link.connector.is_none() {
-                        return Err(e);
-                    }
-                    self.link.note_retry(&e, attempt);
-                    attempt += 1;
-                    if needs_redial && self.link.redial().is_ok() {
-                        self.link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One send → ack exchange. Acks and errors for *other* request ids
-    /// are stale leftovers of earlier timed-out attempts and are skipped.
-    fn apply_once(&mut self, frame: &Bytes, request_id: u64) -> Result<(u64, u32), ServeError> {
-        self.link.tx.send(frame)?;
-        loop {
-            let resp = self.link.recv()?;
-            match wire::peek_tag(&resp)? {
-                wire::Tag::UpdateAck => {
-                    let (got, epoch, applied) = wire::decode_update_ack(&resp)?;
-                    if got == request_id {
-                        return Ok((epoch, applied));
-                    }
-                }
-                wire::Tag::Error => {
-                    let (got, message) = wire::decode_error_frame(&resp)?;
-                    if got == request_id || got == 0 {
-                        return Err(ServeError::Remote { request_id: got, message });
-                    }
-                }
-                tag => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected UpdateAck, server sent {}",
-                        tag.name()
-                    )))
-                }
-            }
-        }
+        self.link.retrying(&mut Sessionless, |role, link| link.ack(role, &frame, request_id))
     }
 
     /// Replaces record `index` with `bytes`; returns the committed epoch.
@@ -846,82 +826,86 @@ impl UpdateClient {
 /// ride the same idempotent request-id scheme as [`UpdateClient`].
 pub struct KvClient {
     link: Link,
-    session_id: u64,
-    next_request: u64,
+    role: KeywordRole,
+}
+
+/// What the keyword client keeps beyond the shared [`Link`]: its trace
+/// keys and the table layout its last `KsWelcome` announced.
+struct KeywordRole {
+    params: KsPirParams,
     client: KsPirClient<rand::rngs::StdRng>,
-    schema: KvSchema,
+    /// `None` only before the first handshake completes.
+    schema: Option<KvSchema>,
+    next_request: u64,
+}
+
+impl Role for KeywordRole {
+    fn hello(&self) -> Option<Bytes> {
+        Some(wire::encode_ks_hello(self.client.public_keys()))
+    }
+
+    fn welcome(&mut self, frame: &Bytes) -> Result<u64, ServeError> {
+        let (session_id, schema) = wire::decode_ks_welcome(&self.params, frame)?;
+        self.schema = Some(schema);
+        Ok(session_id)
+    }
+}
+
+impl KeywordRole {
+    fn schema(&self) -> &KvSchema {
+        self.schema.as_ref().expect("a KvClient completed its handshake")
+    }
+
+    /// One pipelined group fetch: all `group_slots` queries ship (fresh
+    /// request ids) before the first response is awaited, and responses
+    /// are matched back by request id, so a restarted fetch never mixes
+    /// answers from two attempts.
+    fn fetch_group(&mut self, link: &mut Link, bucket: usize) -> Result<Vec<u64>, ServeError> {
+        let session = link.session(self)?;
+        let base = self.schema().slot_of(bucket);
+        let width = self.schema().group_slots();
+        let he = self.params.he().clone();
+        let mut want = HashMap::with_capacity(width);
+        for i in 0..width {
+            let query = self.client.query(base + i)?;
+            let request_id = self.next_request;
+            self.next_request += 1;
+            link.tx.send(&wire::encode_ks_query(session, request_id, &query))?;
+            want.insert(request_id, i);
+        }
+        let mut group = vec![0u64; width];
+        while !want.is_empty() {
+            let (tag, id, frame) = link.await_reply(self, |id| want.contains_key(&id))?;
+            group[want.remove(&id).expect("claimed frames name a wanted slot")] = match tag {
+                wire::Tag::KsResponse => {
+                    self.client.decode(&wire::decode_ks_response(&he, &frame)?.1)?
+                }
+                wire::Tag::CompressedResponse => self
+                    .client
+                    .decode_switched(&wire::decode_compressed_response(&he, &frame)?.1)?,
+                tag => {
+                    return Err(ServeError::Protocol(format!(
+                        "expected KsResponse, server sent {}",
+                        tag.name()
+                    )))
+                }
+            };
+        }
+        Ok(group)
+    }
 }
 
 impl KvClient {
-    /// The handshake body behind [`Connection::into_kv_client`]:
-    /// generates trace keys, uploads them, and learns the table layout.
-    fn handshake(
-        params: &KsPirParams,
-        mut link: Link,
-        rng: rand::rngs::StdRng,
-    ) -> Result<Self, ServeError> {
-        let client = KsPirClient::new(params, rng)?;
-        let mut attempt = 0u32;
-        let (session_id, schema) = loop {
-            match Self::hello_once(&mut link, params, &client) {
-                Ok(welcome) => break welcome,
-                Err(e)
-                    if e.is_transient()
-                        && link.can_recover()
-                        && attempt + 1 < link.retry.max_attempts =>
-                {
-                    link.note_retry(&e, attempt);
-                    attempt += 1;
-                    if link.redial().is_ok() {
-                        link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        Ok(KvClient { link, session_id, next_request: 1, client, schema })
-    }
-
-    /// One KsHello → KsWelcome exchange on the current connection.
-    fn hello_once(
-        link: &mut Link,
-        params: &KsPirParams,
-        client: &KsPirClient<rand::rngs::StdRng>,
-    ) -> Result<(u64, KvSchema), ServeError> {
-        link.tx.send(&wire::encode_ks_hello(client.public_keys()))?;
-        let frame = link.recv()?;
-        match wire::peek_tag(&frame)? {
-            wire::Tag::KsWelcome => Ok(wire::decode_ks_welcome(params, &frame)?),
-            wire::Tag::Error => {
-                let (request_id, message) = wire::decode_error_frame(&frame)?;
-                Err(ServeError::Remote { request_id, message })
-            }
-            tag => {
-                Err(ServeError::Protocol(format!("expected KsWelcome, server sent {}", tag.name())))
-            }
-        }
-    }
-
-    /// Re-runs the keyword handshake on the current connection, adopting
-    /// the new session id and (possibly refreshed) schema.
-    fn rehello(&mut self) -> Result<(), ServeError> {
-        let params = self.schema.params().clone();
-        let (session_id, schema) = Self::hello_once(&mut self.link, &params, &self.client)?;
-        self.session_id = session_id;
-        self.schema = schema;
-        Ok(())
-    }
-
     /// The session id the server assigned (may change after recovery).
     #[inline]
     pub fn session_id(&self) -> u64 {
-        self.session_id
+        self.link.session.unwrap_or(0)
     }
 
     /// The table layout negotiated at the handshake.
     #[inline]
     pub fn schema(&self) -> &KvSchema {
-        &self.schema
+        self.role.schema()
     }
 
     /// Privately retrieves the value stored under `key`, or `None` when
@@ -932,10 +916,11 @@ impl KvClient {
     /// Fails on protocol, transport, or server-reported errors.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<u64>, ServeError> {
         let mut found = None;
-        for bucket in self.schema.candidates(key) {
-            let group = self.fetch_group(bucket)?;
+        for bucket in self.role.schema().candidates(key) {
+            let group =
+                self.link.retrying(&mut self.role, |role, link| role.fetch_group(link, bucket))?;
             if found.is_none() {
-                found = self.schema.decode_group(key, &group);
+                found = self.role.schema().decode_group(key, &group);
             }
         }
         Ok(found)
@@ -965,64 +950,9 @@ impl KvClient {
     fn mutate(&mut self, key: &[u8], value: Option<u64>) -> Result<u64, ServeError> {
         let request_id = unique_request_id();
         let frame = wire::encode_kv_update(request_id, key, value).map_err(ServeError::Pir)?;
-        let mut attempt = 0u32;
-        loop {
-            match self.mutate_once(&frame, request_id) {
-                Ok(epoch) => return Ok(epoch),
-                Err(e)
-                    if e.is_transient()
-                        && self.link.retry.max_attempts > 1
-                        && attempt + 1 < self.link.retry.max_attempts =>
-                {
-                    let needs_redial = !matches!(e, ServeError::Remote { .. });
-                    if needs_redial && self.link.connector.is_none() {
-                        return Err(e);
-                    }
-                    self.link.note_retry(&e, attempt);
-                    attempt += 1;
-                    if needs_redial && self.link.redial().is_ok() {
-                        self.link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                        // Mutations don't need a session, but restoring
-                        // one keeps subsequent `get`s on this connection
-                        // working without their own re-Hello.
-                        let _ = self.rehello();
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One send → ack exchange; stale frames (acks/errors/responses of
-    /// earlier timed-out attempts) are skipped, not fatal.
-    fn mutate_once(&mut self, frame: &Bytes, request_id: u64) -> Result<u64, ServeError> {
-        self.link.tx.send(frame)?;
-        loop {
-            let resp = self.link.recv()?;
-            match wire::peek_tag(&resp)? {
-                wire::Tag::UpdateAck => {
-                    let (got, epoch, _applied) = wire::decode_update_ack(&resp)?;
-                    if got == request_id {
-                        return Ok(epoch);
-                    }
-                }
-                wire::Tag::Error => {
-                    let (got, message) = wire::decode_error_frame(&resp)?;
-                    if got == request_id || got == 0 {
-                        return Err(ServeError::Remote { request_id: got, message });
-                    }
-                }
-                wire::Tag::KsResponse | wire::Tag::CompressedResponse => {
-                    // Stale slot responses from an interrupted fetch.
-                }
-                tag => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected UpdateAck, server sent {}",
-                        tag.name()
-                    )))
-                }
-            }
-        }
+        let (epoch, _) =
+            self.link.retrying(&mut self.role, |role, link| link.ack(role, &frame, request_id))?;
+        Ok(epoch)
     }
 
     /// Scrapes the keyword server's live counters (the keyword pipeline
@@ -1032,109 +962,7 @@ impl KvClient {
     /// # Errors
     /// Fails on protocol, transport, or server-reported errors.
     pub fn stats(&mut self) -> Result<ServerStats, ServeError> {
-        let request_id = self.next_request;
-        self.next_request += 1;
-        self.link.tx.send(&wire::encode_get_stats(request_id))?;
-        let frame = self.link.recv()?;
-        match wire::peek_tag(&frame)? {
-            wire::Tag::StatsResponse => {
-                let (got, report) = wire::decode_stats_response(&frame)?;
-                if got != request_id {
-                    return Err(ServeError::Protocol(format!(
-                        "stats for request {got} while {request_id} was in flight"
-                    )));
-                }
-                Ok(ServerStats::from_report(&report))
-            }
-            wire::Tag::Error => {
-                let (request_id, message) = wire::decode_error_frame(&frame)?;
-                Err(ServeError::Remote { request_id, message })
-            }
-            tag => Err(ServeError::Protocol(format!(
-                "expected StatsResponse, server sent {}",
-                tag.name()
-            ))),
-        }
-    }
-
-    /// Fetches one bucket's slot group, retrying the whole group under
-    /// the link's policy: a group interrupted mid-flight restarts from
-    /// scratch (fresh request ids), so a recovered fetch can never mix
-    /// responses from two attempts.
-    fn fetch_group(&mut self, bucket: usize) -> Result<Vec<u64>, ServeError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.fetch_group_once(bucket) {
-                Ok(group) => return Ok(group),
-                Err(e)
-                    if (e.is_transient() || e.is_unknown_session())
-                        && self.link.can_recover()
-                        && attempt + 1 < self.link.retry.max_attempts =>
-                {
-                    self.link.note_retry(&e, attempt);
-                    attempt += 1;
-                    if e.is_unknown_session() {
-                        // The session is gone but the transport is fine:
-                        // re-register in place.
-                        let _ = self.rehello();
-                    } else if self.link.redial().is_ok() && self.rehello().is_ok() {
-                        self.link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One pipelined group fetch: all `group_slots` queries ship before
-    /// the first response is awaited, and responses are matched back by
-    /// request id. Stale frames from earlier attempts are skipped.
-    fn fetch_group_once(&mut self, bucket: usize) -> Result<Vec<u64>, ServeError> {
-        let base = self.schema.slot_of(bucket);
-        let width = self.schema.group_slots();
-        let he = self.schema.params().he().clone();
-        let mut want = std::collections::HashMap::with_capacity(width);
-        for i in 0..width {
-            let query = self.client.query(base + i)?;
-            let request_id = self.next_request;
-            self.next_request += 1;
-            self.link.tx.send(&wire::encode_ks_query(self.session_id, request_id, &query))?;
-            want.insert(request_id, i);
-        }
-        let mut group = vec![0u64; width];
-        while !want.is_empty() {
-            let frame = self.link.recv()?;
-            let (request_id, scalar) = match wire::peek_tag(&frame)? {
-                wire::Tag::KsResponse => {
-                    let (request_id, ct) = wire::decode_ks_response(&he, &frame)?;
-                    (request_id, self.client.decode(&ct)?)
-                }
-                wire::Tag::CompressedResponse => {
-                    let (request_id, ct) = wire::decode_compressed_response(&he, &frame)?;
-                    (request_id, self.client.decode_switched(&ct)?)
-                }
-                wire::Tag::Error => {
-                    let (request_id, message) = wire::decode_error_frame(&frame)?;
-                    if request_id == 0 || want.contains_key(&request_id) {
-                        return Err(ServeError::Remote { request_id, message });
-                    }
-                    continue; // stale error of an earlier attempt
-                }
-                wire::Tag::UpdateAck => continue, // stale ack of an earlier attempt
-                tag => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected KsResponse, server sent {}",
-                        tag.name()
-                    )))
-                }
-            };
-            if let Some(slot) = want.remove(&request_id) {
-                group[slot] = scalar;
-            }
-            // Unknown ids are responses to an interrupted earlier group:
-            // already restarted, safe to drop.
-        }
-        Ok(group)
+        self.link.stats(&mut self.role)
     }
 }
 

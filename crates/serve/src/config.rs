@@ -63,8 +63,9 @@ pub struct ServeConfig {
     pub backend: BackendKind,
     /// Upper bound on cached sessions: each registration pins hundreds
     /// of KB of key material server-side, so an uncapped cache is a
-    /// remote memory-exhaustion vector. Registrations beyond the cap are
-    /// rejected until sessions are evicted.
+    /// remote memory-exhaustion vector. A registration at the cap
+    /// evicts the least-recently-used session (index and keyword services
+    /// alike); the evicted client re-Hellos on its next query.
     pub max_sessions: usize,
     /// Whether [`wire::Tag::UpdateRow`] frames are admitted. Updates
     /// carry no authentication, so **any** peer that can reach the

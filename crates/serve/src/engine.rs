@@ -1,6 +1,6 @@
-//! The database plane behind the worker pool: one replicated server, or a
-//! row-sharded ensemble recombined through the high tournament bits —
-//! now **epoch-versioned and mutable under traffic**.
+//! The database plane behind the worker pool: a row-sharded ensemble
+//! recombined through the high tournament bits — a replicated database
+//! is the one-shard plan — **epoch-versioned and mutable under traffic**.
 //!
 //! Row sharding exploits that `ColTor` consumes row-index bits LSB first
 //! (Fig. 7): an aligned block of `2^(d-k)` adjacent rows is exactly one
@@ -41,20 +41,22 @@ use crate::config::ShardPlan;
 use crate::trace::{Span, Stage, TraceRecorder};
 use crate::ServeError;
 
-/// The query-answering plane: replicated or row-sharded, epoch-versioned.
+/// The query-answering plane: `2^k` row shards (`k = 0` when
+/// replicated), epoch-versioned.
 #[derive(Debug)]
 pub struct ShardedEngine {
     params: PirParams,
     order: TournamentOrder,
     backend: BackendKind,
-    /// The current epoch's servers: length 1 when replicated, `2^k` when
-    /// row-sharded. Readers snapshot (brief read-lock, then lock-free);
-    /// commits swap the whole vector (brief write-lock).
+    /// The current epoch's `2^k` shard servers (one when replicated).
+    /// Readers snapshot (brief read-lock, then lock-free); commits swap
+    /// the whole vector (brief write-lock).
     servers: RwLock<Vec<Arc<PirServer>>>,
-    /// `k = log2(shards)` when row-sharded; `None` when replicated.
-    shard_bits: Option<u32>,
-    /// Per-shard kernel scratch pools for the internal scan threads of
-    /// the row-sharded path (empty when replicated).
+    /// `k = log2(shards)`: the high row-index bits the shard winners
+    /// recombine through (0 when replicated).
+    shard_bits: u32,
+    /// Kernel scratch pools for shards `1..`, which run on scoped threads
+    /// (shard 0 runs on the calling worker with its own scratch).
     scratch: Vec<ScratchPool>,
     /// Staged deltas awaiting the next epoch boundary.
     log: UpdateLog,
@@ -116,32 +118,30 @@ impl ShardedEngine {
             server.set_backend(backend);
             Arc::new(server)
         };
-        let (servers, shard_bits, scratch) = match plan {
-            ShardPlan::Replicated => {
-                (vec![configure(PirServer::new(params, db)?)], None, Vec::new())
-            }
-            ShardPlan::RowSharded { shards } => {
-                let shard_bits = shards.trailing_zeros();
-                if !shards.is_power_of_two() || shard_bits > params.dims() {
-                    return Err(ServeError::InvalidConfig(format!(
-                        "{} row shards do not divide 2^{} rows",
-                        shards,
-                        params.dims()
-                    )));
-                }
-                let sub_params =
-                    PirParams::new(params.he().clone(), params.d0(), params.dims() - shard_bits)?;
-                let rows_per_shard = params.num_rows() / shards;
-                let servers = (0..shards)
-                    .map(|s| {
-                        let shard_db = db.shard_rows(s * rows_per_shard, rows_per_shard)?;
-                        Ok(configure(PirServer::new(&sub_params, shard_db)?))
-                    })
-                    .collect::<Result<Vec<_>, PirError>>()?;
-                let scratch = (0..shards).map(|_| ScratchPool::default()).collect();
-                (servers, Some(shard_bits), scratch)
-            }
+        let shards = match plan {
+            ShardPlan::Replicated => 1,
+            ShardPlan::RowSharded { shards } => shards,
         };
+        let shard_bits = shards.trailing_zeros();
+        if !shards.is_power_of_two() || shard_bits > params.dims() {
+            return Err(ServeError::InvalidConfig(format!(
+                "{} row shards do not divide 2^{} rows",
+                shards,
+                params.dims()
+            )));
+        }
+        // Shard databases share the loaded row pages (`Arc`s), so even
+        // the one-shard split copies no record words.
+        let sub_params =
+            PirParams::new(params.he().clone(), params.d0(), params.dims() - shard_bits)?;
+        let rows_per_shard = params.num_rows() / shards;
+        let servers = (0..shards)
+            .map(|s| {
+                let shard_db = db.shard_rows(s * rows_per_shard, rows_per_shard)?;
+                Ok(configure(PirServer::new(&sub_params, shard_db)?))
+            })
+            .collect::<Result<Vec<_>, PirError>>()?;
+        let scratch = (1..shards).map(|_| ScratchPool::default()).collect();
         Ok(ShardedEngine {
             params: params.clone(),
             order,
@@ -307,45 +307,33 @@ impl ShardedEngine {
         }
         let commit_started = Instant::now();
         let current = self.snapshot();
-        let next = match self.shard_bits {
-            None => {
-                let mut db = current[0].database().clone();
-                db.apply_updates(&staged)?;
-                vec![Arc::new(current[0].with_database(db)?)]
-            }
-            Some(shard_bits) => {
-                let shards = 1usize << shard_bits;
-                let rows_per_shard = self.params.num_rows() >> shard_bits;
-                // Route each delta to the shard owning its row, rebased
-                // to shard-local indices; untouched shards keep their
-                // current (cheap `Arc`) server.
-                let mut routed: Vec<Vec<PreparedUpdate>> = vec![Vec::new(); shards];
-                for u in staged.iter() {
-                    let row = u.index() / self.params.d0();
-                    let shard = row / rows_per_shard;
-                    routed[shard]
-                        .push(u.clone().rebase_to_shard(shard * rows_per_shard, self.params.d0())?);
+        let applied = staged.len() as u64;
+        // Route each delta to the shard owning its row (the high
+        // `shard_bits` of the row index), rebased to shard-local indices.
+        let low_bits = self.params.dims() - self.shard_bits;
+        let mut routed: Vec<Vec<PreparedUpdate>> = vec![Vec::new(); current.len()];
+        for u in staged {
+            let shard = (u.index() / self.params.d0()) >> low_bits;
+            routed[shard].push(u.rebase_to_shard(shard << low_bits, self.params.d0())?);
+        }
+        let next = current
+            .iter()
+            .zip(routed)
+            .map(|(server, deltas)| {
+                if deltas.is_empty() {
+                    // Untouched shards keep the old Arc (no clone); their
+                    // per-database epoch may lag — the engine epoch is the
+                    // authoritative one.
+                    Ok(Arc::clone(server))
+                } else {
+                    let mut db = server.database().clone();
+                    db.apply_updates(&deltas)?;
+                    Ok(Arc::new(server.with_database(db)?))
                 }
-                current
-                    .iter()
-                    .zip(routed)
-                    .map(|(server, deltas)| {
-                        if deltas.is_empty() {
-                            // Untouched shards keep the old Arc (no
-                            // clone); their per-database epoch may lag —
-                            // the engine epoch is the authoritative one.
-                            Ok(Arc::clone(server))
-                        } else {
-                            let mut db = server.database().clone();
-                            db.apply_updates(&deltas)?;
-                            Ok(Arc::new(server.with_database(db)?))
-                        }
-                    })
-                    .collect::<Result<Vec<_>, PirError>>()?
-            }
-        };
+            })
+            .collect::<Result<Vec<_>, PirError>>()?;
         *self.servers.write().expect("server set poisoned") = next;
-        self.updates_applied.fetch_add(staged.len() as u64, Ordering::Relaxed);
+        self.updates_applied.fetch_add(applied, Ordering::Relaxed);
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         self.trace.record(Stage::EpochCommit, commit_started.elapsed());
         Ok(epoch)
@@ -412,9 +400,9 @@ impl ShardedEngine {
     /// Batched answering with caller-owned scratch — the serving workers'
     /// entry point: each worker owns one [`QueryScratch`] (arena + flat
     /// `RowSel` accumulators) that stays warm across batches, so the scan
-    /// allocates nothing. Row-sharded engines additionally keep one warm
-    /// scratch per shard for their internal scan threads. The whole batch
-    /// runs against one epoch snapshot, concurrent commits included.
+    /// allocates nothing; shards beyond the first scan on scoped threads
+    /// with their own pooled scratch. The whole batch runs against one
+    /// epoch snapshot, concurrent commits included.
     ///
     /// # Errors
     /// Fails when *any* query in the batch fails.
@@ -430,8 +418,9 @@ impl ShardedEngine {
     /// the batch's per-stage durations (Expand/RowSel/ColTor) into `span`
     /// — the batcher's entry point, so slow-query traces carry the
     /// engine-side breakdown. Every sample is also recorded in the shared
-    /// [`TraceRecorder`] histograms (per shard on the row-sharded path),
-    /// and each `RowSel` pass feeds the scan-bandwidth accounting.
+    /// [`TraceRecorder`] histograms — one Expand, one RowSel and one ColTor
+    /// per shard, plus one recombine ColTor when there are several shards
+    /// — and each batch's scan pass feeds the scan-bandwidth accounting.
     ///
     /// # Errors
     /// Fails when *any* query in the batch fails.
@@ -444,80 +433,8 @@ impl ShardedEngine {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let servers = self.snapshot();
-        match self.shard_bits {
-            None => self.answer_batch_replicated(&servers[0], requests, scratch, span),
-            Some(shard_bits) => {
-                self.answer_batch_sharded(&servers, shard_bits, requests, scratch, span)
-            }
-        }
-    }
-
-    /// Database bytes one batched `RowSel` pass streams: every row's `d0`
-    /// record polynomials (`k·n` limb words each) are loaded exactly once
-    /// per batch and shared across the batch's queries. On the sharded
-    /// path the shards partition the rows, so this total also covers one
-    /// whole parallel pass.
-    fn scan_bytes_per_pass(&self) -> u64 {
-        let he = self.params.he();
-        let k = he.ring().basis().moduli().len() as u64;
-        (self.params.num_rows() as u64) * (self.params.d0() as u64) * k * (he.n() as u64) * 8
-    }
-
-    /// The replicated answer path with per-stage timing — the same three
-    /// steps as [`PirServer::answer_batch_with`], run here so each stage
-    /// boundary can be observed.
-    fn answer_batch_replicated(
-        &self,
-        server: &PirServer,
-        requests: &[(&ClientKeys, &PirQuery)],
-        scratch: &mut QueryScratch,
-        span: &mut Span,
-    ) -> Result<Vec<BfvCiphertext>, PirError> {
-        // Step 1: per-query expansion (client-specific; not amortizable).
-        let t = Instant::now();
-        let mut expanded = Vec::with_capacity(requests.len());
-        for (keys, query) in requests {
-            expanded.push(server.expand_with(keys, query, scratch)?);
-        }
-        let expand = t.elapsed();
-        span.add(Stage::Expand, expand);
-        self.trace.record(Stage::Expand, expand);
-        // Step 2: one scan of the database serving all queries.
-        let t = Instant::now();
-        server.row_sel_batch_into(&expanded, scratch)?;
-        let row_sel = t.elapsed();
-        span.add(Stage::RowSel, row_sel);
-        self.trace.record(Stage::RowSel, row_sel);
-        self.trace.record_scan(self.scan_bytes_per_pass(), row_sel);
-        // Step 3: per-query tournaments.
-        let t = Instant::now();
-        let ring = server.params().he().ring().clone();
-        let answers = requests
-            .iter()
-            .enumerate()
-            .map(|(qi, (_, query))| {
-                let rows = scratch.row_ciphertexts(&ring, qi);
-                server.col_tor_step_with(rows, query, scratch)
-            })
-            .collect::<Result<Vec<_>, PirError>>()?;
-        let col_tor = t.elapsed();
-        span.add(Stage::ColTor, col_tor);
-        self.trace.record(Stage::ColTor, col_tor);
-        Ok(answers)
-    }
-
-    fn answer_batch_sharded(
-        &self,
-        shards: &[Arc<PirServer>],
-        shard_bits: u32,
-        requests: &[(&ClientKeys, &PirQuery)],
-        scratch: &mut QueryScratch,
-        span: &mut Span,
-    ) -> Result<Vec<BfvCiphertext>, PirError> {
-        let he = self.params.he();
-        let backend = self.backend.backend();
-        let low_bits = (self.params.dims() - shard_bits) as usize;
+        let shards = self.snapshot();
+        let low_bits = (self.params.dims() - self.shard_bits) as usize;
         // Expansion is client-specific and shard-independent: do it once
         // and share the result with every shard.
         let t = Instant::now();
@@ -529,78 +446,64 @@ impl ShardedEngine {
         span.add(Stage::Expand, expand);
         self.trace.record(Stage::Expand, expand);
         // Each shard scans its rows once for the whole batch, then plays
-        // the low tournament levels per query — on its own warm scratch.
-        // Shards time their own RowSel/ColTor (the per-shard histogram
-        // samples); the span gets the slowest shard's durations, which is
-        // what the batch actually waited for.
-        let mut winners: Vec<Vec<BfvCiphertext>> = Vec::new();
-        let mut scan_max = Duration::ZERO;
-        let mut low_max = Duration::ZERO;
-        type ShardResult = Result<(Vec<BfvCiphertext>, Duration, Duration), PirError>;
-        std::thread::scope(|scope| -> Result<(), PirError> {
-            let mut handles = Vec::with_capacity(shards.len());
-            for (shard, pool) in shards.iter().zip(&self.scratch) {
-                let expanded = &expanded;
-                handles.push(scope.spawn(move || -> ShardResult {
-                    let mut s = pool.take();
-                    let result = (|| {
-                        let t = Instant::now();
-                        shard.row_sel_batch_into(expanded, &mut s)?;
-                        let row_sel = t.elapsed();
-                        self.trace.record(Stage::RowSel, row_sel);
-                        let ring = shard.params().he().ring().clone();
-                        let t = Instant::now();
-                        let winners = requests
-                            .iter()
-                            .enumerate()
-                            .map(|(qi, (_, query))| {
-                                let rows = s.row_ciphertexts(&ring, qi);
-                                col_tor_with(
-                                    he,
-                                    rows,
-                                    &query.row_bits()[..low_bits],
-                                    self.order,
-                                    shard.rowsel_threads(),
-                                    shard.backend().backend(),
-                                    &mut s.arena,
-                                )
-                            })
-                            .collect::<Result<Vec<_>, PirError>>()?;
-                        let col_tor = t.elapsed();
-                        self.trace.record(Stage::ColTor, col_tor);
-                        Ok((winners, row_sel, col_tor))
-                    })();
-                    pool.give(s);
-                    result
-                }));
-            }
-            for h in handles {
-                let (w, row_sel, col_tor) = h.join().expect("shard worker panicked")?;
-                winners.push(w);
-                scan_max = scan_max.max(row_sel);
-                low_max = low_max.max(col_tor);
-            }
-            Ok(())
-        })?;
+        // the low tournament levels per query: shard 0 on this thread and
+        // scratch, the others on scoped threads with pooled scratch. The
+        // span gets the slowest shard's durations, which is what the
+        // batch actually waited for.
+        let expanded = &expanded;
+        let (first, rest) = std::thread::scope(|scope| {
+            let others: Vec<_> = shards[1..]
+                .iter()
+                .zip(&self.scratch)
+                .map(|(shard, pool)| {
+                    scope.spawn(move || {
+                        let mut s = pool.take();
+                        let result = self.answer_shard(shard, expanded, requests, low_bits, &mut s);
+                        pool.give(s);
+                        result
+                    })
+                })
+                .collect();
+            let first = self.answer_shard(&shards[0], expanded, requests, low_bits, scratch);
+            let rest: Vec<_> = others
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect();
+            (first, rest)
+        });
+        let mut winners = Vec::with_capacity(shards.len());
+        let (mut scan_max, mut low_max) = (Duration::ZERO, Duration::ZERO);
+        for result in std::iter::once(first).chain(rest) {
+            let (w, row_sel, col_tor) = result?;
+            winners.push(w);
+            scan_max = scan_max.max(row_sel);
+            low_max = low_max.max(col_tor);
+        }
         span.add(Stage::RowSel, scan_max);
         // The shards together streamed the whole database in parallel;
         // the effective scan bandwidth is total bytes over the slowest
         // shard's wall time.
         self.trace.record_scan(self.scan_bytes_per_pass(), scan_max);
+        if self.shard_bits == 0 {
+            span.add(Stage::ColTor, low_max);
+            return Ok(winners.pop().expect("one shard"));
+        }
         // Recombine: query i's shard winners, ordered by shard (= high
         // bits of the row index), finish with the remaining bits.
         let t = Instant::now();
-        let answers = (0..requests.len())
-            .map(|i| {
+        let mut per_shard: Vec<_> = winners.into_iter().map(Vec::into_iter).collect();
+        let answers = requests
+            .iter()
+            .map(|(_, query)| {
                 let entries: Vec<BfvCiphertext> =
-                    winners.iter().map(|per_shard| per_shard[i].clone()).collect();
+                    per_shard.iter_mut().map(|w| w.next().expect("one winner per query")).collect();
                 col_tor_with(
-                    he,
+                    self.params.he(),
                     entries,
-                    &requests[i].1.row_bits()[low_bits..],
+                    &query.row_bits()[low_bits..],
                     self.order,
                     shards[0].rowsel_threads(),
-                    backend,
+                    self.backend.backend(),
                     &mut scratch.arena,
                 )
             })
@@ -609,6 +512,54 @@ impl ShardedEngine {
         self.trace.record(Stage::ColTor, recombine);
         span.add(Stage::ColTor, low_max + recombine);
         Ok(answers)
+    }
+
+    /// Database bytes one batched `RowSel` pass streams: every row's `d0`
+    /// record polynomials (`k·n` limb words each) are loaded exactly once
+    /// per batch and shared across the batch's queries. The shards
+    /// partition the rows, so this total covers one whole parallel pass.
+    fn scan_bytes_per_pass(&self) -> u64 {
+        let he = self.params.he();
+        let k = he.ring().basis().moduli().len() as u64;
+        (self.params.num_rows() as u64) * (self.params.d0() as u64) * k * (he.n() as u64) * 8
+    }
+
+    /// RowSel plus the low `low_bits` tournament levels of every query on
+    /// one shard, timing both stages into the recorder. Returns the
+    /// shard's per-query winners and the two durations.
+    fn answer_shard(
+        &self,
+        shard: &PirServer,
+        expanded: &[Vec<BfvCiphertext>],
+        requests: &[(&ClientKeys, &PirQuery)],
+        low_bits: usize,
+        scratch: &mut QueryScratch,
+    ) -> Result<(Vec<BfvCiphertext>, Duration, Duration), PirError> {
+        let t = Instant::now();
+        shard.row_sel_batch_into(expanded, scratch)?;
+        let row_sel = t.elapsed();
+        self.trace.record(Stage::RowSel, row_sel);
+        let ring = shard.params().he().ring().clone();
+        let t = Instant::now();
+        let winners = requests
+            .iter()
+            .enumerate()
+            .map(|(qi, (_, query))| {
+                let rows = scratch.row_ciphertexts(&ring, qi);
+                col_tor_with(
+                    self.params.he(),
+                    rows,
+                    &query.row_bits()[..low_bits],
+                    self.order,
+                    shard.rowsel_threads(),
+                    self.backend.backend(),
+                    &mut scratch.arena,
+                )
+            })
+            .collect::<Result<Vec<_>, PirError>>()?;
+        let col_tor = t.elapsed();
+        self.trace.record(Stage::ColTor, col_tor);
+        Ok((winners, row_sel, col_tor))
     }
 }
 
@@ -918,6 +869,38 @@ mod tests {
             BackendKind::default(),
         );
         assert!(err.is_err());
+    }
+
+    /// The per-layer numbers the benchmark scrapes: one traced batch
+    /// records one Expand, one RowSel per shard, one ColTor per shard
+    /// plus the recombine (none with a single shard), and one scan pass
+    /// covering the whole database.
+    #[test]
+    fn traced_batches_record_one_sample_per_stage_per_shard() {
+        let (params, db, _) = setup();
+        let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(402)).unwrap();
+        let queries = [client.query(3).unwrap(), client.query(60).unwrap()];
+        let requests: Vec<_> = queries.iter().map(|q| (client.public_keys(), q)).collect();
+        let he = params.he();
+        let pass_bytes = (params.num_rows() * params.d0() * he.ring().basis().moduli().len())
+            as u64
+            * he.n() as u64
+            * 8;
+        for (plan, row_sels, col_tors) in
+            [(ShardPlan::Replicated, 1, 1), (ShardPlan::RowSharded { shards: 2 }, 2, 3)]
+        {
+            let engine = engine(&params, db.clone(), plan);
+            let mut span = Span::new();
+            let answers =
+                engine.answer_batch_traced(&requests, &mut QueryScratch::new(), &mut span).unwrap();
+            assert_eq!(answers.len(), 2);
+            let stats = engine.trace().stage_stats();
+            let count = |stage: Stage| stats[stage as usize].count;
+            assert_eq!(count(Stage::Expand), 1, "{plan:?}");
+            assert_eq!(count(Stage::RowSel), row_sels, "{plan:?}");
+            assert_eq!(count(Stage::ColTor), col_tors, "{plan:?}");
+            assert_eq!(engine.trace().scan_bytes(), pass_bytes, "{plan:?}: one pass per batch");
+        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ pub use config::{ServeConfig, ShardPlan};
 pub use engine::{KeywordEngine, ShardedEngine};
 pub use metrics::{Metrics, ServerStats};
 pub use service::{KeywordHandle, PirService, ServiceHandle};
-pub use session::SessionManager;
+pub use session::{SessionKeys, SessionManager};
 pub use tcp::{TcpConnector, TcpTransport};
 pub use trace::{Span, Stage, StageStats, StageTimer, TraceRecord, TraceRecorder};
 pub use transport::{in_proc_pair, Connector, Transport};

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use ive_math::metrics::OpSnapshot;
 use ive_pir::wire::{StageReport, StatsReport};
 
-use crate::trace::{Stage, StageStats, TraceRecorder};
+use crate::trace::{quantile_from_log2_buckets, Log2Hist, Stage, StageStats, TraceRecorder};
 
 /// Number of log₂ latency buckets: bucket `i` counts requests whose
 /// end-to-end latency lies in `[2^i, 2^(i+1))` microseconds; 40 buckets
@@ -31,15 +31,14 @@ const LATENCY_BUCKETS: usize = 40;
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
-    queries: AtomicU64,
     errors: AtomicU64,
     batches: AtomicU64,
     batch_query_sum: AtomicU64,
     batches_multi: AtomicU64,
     max_batch: AtomicU64,
-    latency: [AtomicU64; LATENCY_BUCKETS],
-    latency_sum_us: AtomicU64,
-    latency_max_us: AtomicU64,
+    /// End-to-end latency of every successful query (its sample count
+    /// is the served-query count).
+    latency: Log2Hist<LATENCY_BUCKETS>,
     queue_depth: AtomicUsize,
     queue_depth_max: AtomicUsize,
     busy_rejections: AtomicU64,
@@ -81,15 +80,12 @@ impl Metrics {
     pub fn with_trace(trace: Arc<TraceRecorder>) -> Self {
         Metrics {
             started: Instant::now(),
-            queries: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             batch_query_sum: AtomicU64::new(0),
             batches_multi: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
-            latency: [const { AtomicU64::new(0) }; LATENCY_BUCKETS],
-            latency_sum_us: AtomicU64::new(0),
-            latency_max_us: AtomicU64::new(0),
+            latency: Log2Hist::new(),
             queue_depth: AtomicUsize::new(0),
             queue_depth_max: AtomicUsize::new(0),
             busy_rejections: AtomicU64::new(0),
@@ -158,12 +154,7 @@ impl Metrics {
     /// One query finished successfully after the given end-to-end latency
     /// (enqueue → response frame handed to the transport).
     pub fn query_done(&self, latency: Duration) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        let bucket = (us.max(1).ilog2() as usize).min(LATENCY_BUCKETS - 1);
-        self.latency[bucket].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
-        self.latency_max_us.fetch_max(us, Ordering::Relaxed);
+        self.latency.record(latency);
     }
 
     /// One query failed server-side.
@@ -205,8 +196,9 @@ impl Metrics {
     /// frame carries.
     pub fn report(&self) -> StatsReport {
         let ops = ive_math::metrics::snapshot().delta_since(&self.ops_base);
+        let latency = self.latency.report();
         StatsReport {
-            queries: self.queries.load(Ordering::Relaxed),
+            queries: latency.count,
             errors: self.errors.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batch_query_sum: self.batch_query_sum.load(Ordering::Relaxed),
@@ -218,9 +210,9 @@ impl Metrics {
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             epoch: self.epoch.load(Ordering::Relaxed),
             uptime_us: self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-            latency_sum_us: self.latency_sum_us.load(Ordering::Relaxed),
-            latency_max_us: self.latency_max_us.load(Ordering::Relaxed),
-            latency_buckets: self.latency.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            latency_sum_us: latency.sum_us,
+            latency_max_us: latency.max_us,
+            latency_buckets: latency.buckets,
             stages: self
                 .trace
                 .stage_stats()
@@ -253,34 +245,6 @@ impl Metrics {
     pub fn snapshot(&self) -> ServerStats {
         ServerStats::from_report(&self.report())
     }
-}
-
-/// The value (ms) below which `q` of the histogram mass lies. Within the
-/// matching log₂ bucket the quantile is resolved by *geometric*
-/// interpolation — bucket `[2^i, 2^(i+1))` µs at rank fraction `f`
-/// yields `2^i · 2^f` — instead of the bucket's upper edge (which
-/// overstated the median by up to 2×). The clamp to the true observed
-/// maximum stays: a coarse bucket's interpolated value can still exceed
-/// every real sample.
-fn quantile_from_log2_buckets(buckets: &[u64], q: f64, max_ms: f64) -> f64 {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut seen = 0u64;
-    for (i, &count) in buckets.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        if seen + count >= target {
-            let lo_us = (1u128 << i) as f64;
-            let frac = (target - seen) as f64 / count as f64;
-            return (lo_us * 2f64.powf(frac) / 1000.0).min(max_ms);
-        }
-        seen += count;
-    }
-    max_ms
 }
 
 /// A point-in-time view of the serving counters: every rate and quantile

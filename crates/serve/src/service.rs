@@ -16,9 +16,9 @@
 //! the server melting.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -210,7 +210,11 @@ impl PirService {
         let mut engine = KeywordEngine::new(params, store)?;
         engine.set_trace(Arc::clone(metrics.trace()));
         let engine = Arc::new(engine);
-        let sessions = Arc::new(KsSessions::new(params, config.max_sessions));
+        let sessions = Arc::new(SessionManager::with_eviction_counter(
+            params,
+            config.max_sessions,
+            metrics.session_eviction_counter(),
+        ));
         let shutdown = Arc::new(AtomicBool::new(false));
         let endpoint = transport.endpoint();
 
@@ -401,7 +405,7 @@ fn handle_frame(
     registered: &mut bool,
 ) -> Result<(), ServeError> {
     let sessions = &ctx.sessions;
-    let he = sessions_he(sessions);
+    let he = sessions.params().he();
     let reply = |bytes: Bytes| out.send(bytes).map_err(|_| ServeError::Closed);
     match wire::peek_tag(frame) {
         Ok(wire::Tag::Hello) => match wire::decode_hello(he, frame) {
@@ -522,54 +526,10 @@ fn handle_frame(
     }
 }
 
-/// The HE parameters behind a session manager (alias for readability).
-fn sessions_he(sessions: &SessionManager) -> &ive_he::HeParams {
-    sessions.params().he()
-}
-
-/// The keyword-session key cache: like [`SessionManager`] but for
-/// [`KsPirKeys`] (the `log N` trace keys). Count validation happens at
-/// decode ([`wire::decode_ks_hello`] rejects any other count), so the
-/// cache only enforces the capacity cap.
-struct KsSessions {
-    params: KsPirParams,
-    max_sessions: usize,
-    next_id: AtomicU64,
-    keys: RwLock<HashMap<u64, Arc<KsPirKeys>>>,
-}
-
-impl KsSessions {
-    fn new(params: &KsPirParams, max_sessions: usize) -> Self {
-        KsSessions {
-            params: params.clone(),
-            max_sessions,
-            next_id: AtomicU64::new(1),
-            keys: RwLock::new(HashMap::new()),
-        }
-    }
-
-    fn register(&self, keys: KsPirKeys) -> Result<u64, ServeError> {
-        let mut cache = self.keys.write().expect("ks session lock poisoned");
-        if cache.len() >= self.max_sessions {
-            return Err(ServeError::Protocol(format!(
-                "session cache full ({} sessions); evict before registering",
-                self.max_sessions
-            )));
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        cache.insert(id, Arc::new(keys));
-        Ok(id)
-    }
-
-    fn lookup(&self, session_id: u64) -> Option<Arc<KsPirKeys>> {
-        self.keys.read().expect("ks session lock poisoned").get(&session_id).cloned()
-    }
-}
-
 /// Shared state a keyword connection handler needs.
 #[derive(Clone)]
 struct KsHandlerCtx {
-    sessions: Arc<KsSessions>,
+    sessions: Arc<SessionManager<KsPirKeys>>,
     metrics: Arc<Metrics>,
     engine: Arc<KeywordEngine>,
     accept_updates: bool,
@@ -613,7 +573,7 @@ fn handle_ks_connection(conn: BoxedConn, ctx: &KsHandlerCtx) {
 
 /// Dispatches one inbound keyword frame and produces its reply frame.
 fn handle_ks_frame(frame: &Bytes, ctx: &KsHandlerCtx, registered: &mut bool) -> Bytes {
-    let params = &ctx.sessions.params;
+    let params = ctx.sessions.params();
     let he = params.he();
     match wire::peek_tag(frame) {
         Ok(wire::Tag::KsHello) => match wire::decode_ks_hello(he, frame) {

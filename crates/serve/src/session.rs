@@ -11,42 +11,98 @@
 //! cache self-manages and an evicted client simply re-Hellos (its next
 //! query fails with `unknown session`, the client re-registers, and
 //! service resumes). Evictions are counted and surfaced through
-//! [`crate::ServerStats`].
+//! [`crate::ServerStats`]. The index and keyword services share this one
+//! cache, generic over the [`SessionKeys`] they hold.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
+use ive_pir::kspir::{KsPirKeys, KsPirParams};
 use ive_pir::{ClientKeys, PirParams};
 
 use crate::ServeError;
+
+/// A client key set the session cache can hold: the parameters a
+/// registration is checked against, and the memory it pins.
+pub trait SessionKeys: std::fmt::Debug + Send + Sync {
+    /// The scheme parameters sessions are validated against.
+    type Params: Clone + std::fmt::Debug + Send + Sync;
+
+    /// Rejects a key set that cannot serve `params`.
+    ///
+    /// # Errors
+    /// Fails when the key set does not match the geometry.
+    fn validate(&self, params: &Self::Params) -> Result<(), ServeError>;
+
+    /// Bytes of key material this set pins.
+    fn byte_len(&self, params: &Self::Params) -> usize;
+}
+
+impl SessionKeys for ClientKeys {
+    type Params = PirParams;
+
+    fn validate(&self, params: &PirParams) -> Result<(), ServeError> {
+        let need = params.log_d0() as usize;
+        if self.subs_keys().len() != need {
+            return Err(ServeError::Protocol(format!(
+                "registered {} expansion keys where the geometry needs {need}",
+                self.subs_keys().len()
+            )));
+        }
+        Ok(())
+    }
+
+    fn byte_len(&self, params: &PirParams) -> usize {
+        ClientKeys::byte_len(self, params.he())
+    }
+}
+
+impl SessionKeys for KsPirKeys {
+    type Params = KsPirParams;
+
+    fn validate(&self, params: &KsPirParams) -> Result<(), ServeError> {
+        let need = params.he().n().trailing_zeros() as usize;
+        if self.trace_keys().len() != need {
+            return Err(ServeError::Protocol(format!(
+                "registered {} trace keys where the trace needs {need}",
+                self.trace_keys().len()
+            )));
+        }
+        Ok(())
+    }
+
+    fn byte_len(&self, params: &KsPirParams) -> usize {
+        self.trace_keys().len() * params.he().evk_bytes()
+    }
+}
 
 /// One cached key set plus its recency stamp. The stamp is atomic so
 /// [`SessionManager::lookup`] can touch it under the shared read lock —
 /// queries never serialize on the cache write lock just to stay "recent".
 #[derive(Debug)]
-struct Session {
-    keys: Arc<ClientKeys>,
+struct Session<K> {
+    keys: Arc<K>,
     last_used: AtomicU64,
 }
 
 /// Registered client key material, keyed by session id, LRU-bounded.
 #[derive(Debug)]
-pub struct SessionManager {
-    params: PirParams,
+pub struct SessionManager<K: SessionKeys = ClientKeys> {
+    params: K::Params,
     max_sessions: usize,
     next_id: AtomicU64,
     /// Monotonic recency clock; ticked on every register and lookup.
     clock: AtomicU64,
     /// Sessions evicted to make room (shared with the metrics plane).
     evictions: Arc<AtomicU64>,
-    keys: RwLock<HashMap<u64, Session>>,
+    keys: RwLock<HashMap<u64, Session<K>>>,
 }
 
-impl SessionManager {
+impl<K: SessionKeys> SessionManager<K> {
     /// An empty manager for the given scheme parameters, LRU-evicting
     /// once `max_sessions` key sets are cached.
-    pub fn new(params: &PirParams, max_sessions: usize) -> Self {
+    pub fn new(params: &K::Params, max_sessions: usize) -> Self {
         SessionManager::with_eviction_counter(params, max_sessions, Arc::default())
     }
 
@@ -54,7 +110,7 @@ impl SessionManager {
     /// caller-shared counter (the serving runtime passes the metrics
     /// plane's counter so evictions surface in [`crate::ServerStats`]).
     pub fn with_eviction_counter(
-        params: &PirParams,
+        params: &K::Params,
         max_sessions: usize,
         evictions: Arc<AtomicU64>,
     ) -> Self {
@@ -73,8 +129,8 @@ impl SessionManager {
     /// least-recently-used session is evicted to make room.
     ///
     /// # Errors
-    /// Fails when the key count does not match the `ExpandQuery` depth.
-    pub fn register(&self, keys: ClientKeys) -> Result<u64, ServeError> {
+    /// Fails when the key set does not match the geometry.
+    pub fn register(&self, keys: K) -> Result<u64, ServeError> {
         self.register_shared(Arc::new(keys))
     }
 
@@ -83,15 +139,9 @@ impl SessionManager {
     /// key copy (how churn tests drive ~100k registrations cheaply).
     ///
     /// # Errors
-    /// Fails when the key count does not match the `ExpandQuery` depth.
-    pub fn register_shared(&self, keys: Arc<ClientKeys>) -> Result<u64, ServeError> {
-        let need = self.params.log_d0() as usize;
-        if keys.subs_keys().len() != need {
-            return Err(ServeError::Protocol(format!(
-                "registered {} expansion keys where the geometry needs {need}",
-                keys.subs_keys().len()
-            )));
-        }
+    /// Fails when the key set does not match the geometry.
+    pub fn register_shared(&self, keys: Arc<K>) -> Result<u64, ServeError> {
+        keys.validate(&self.params)?;
         if self.max_sessions == 0 {
             return Err(ServeError::Protocol("session cache disabled (max_sessions = 0)".into()));
         }
@@ -115,13 +165,13 @@ impl SessionManager {
 
     /// The scheme parameters sessions are validated against.
     #[inline]
-    pub fn params(&self) -> &PirParams {
+    pub fn params(&self) -> &K::Params {
         &self.params
     }
 
     /// The cached keys for a session, if registered; touches the
     /// session's LRU stamp.
-    pub fn lookup(&self, session_id: u64) -> Option<Arc<ClientKeys>> {
+    pub fn lookup(&self, session_id: u64) -> Option<Arc<K>> {
         let cache = self.keys.read().expect("session lock poisoned");
         cache.get(&session_id).map(|s| {
             s.last_used.store(self.clock.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
@@ -153,8 +203,8 @@ impl SessionManager {
     /// Total bytes of cached key material (the scratchpad pressure the
     /// paper's §III-B bandwidth analysis is about).
     pub fn cached_key_bytes(&self) -> usize {
-        let he = self.params.he();
-        self.keys.read().expect("session lock poisoned").values().map(|s| s.keys.byte_len(he)).sum()
+        let cache = self.keys.read().expect("session lock poisoned");
+        cache.values().map(|s| s.keys.byte_len(&self.params)).sum()
     }
 }
 
@@ -191,6 +241,23 @@ mod tests {
         let mut subs = client.public_keys().subs_keys().to_vec();
         subs.pop();
         assert!(mgr.register(ClientKeys::from_subs_keys(subs)).is_err());
+    }
+
+    #[test]
+    fn keyword_key_sets_are_validated_and_lru_bounded() {
+        let params = KsPirParams::toy();
+        let mgr = SessionManager::new(&params, 1);
+        let client =
+            ive_pir::KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(5)).unwrap();
+        let keys = client.public_keys().clone();
+        let mut short = keys.trace_keys().to_vec();
+        short.pop();
+        assert!(mgr.register(KsPirKeys::from_parts(short)).is_err(), "short trace accepted");
+        let a = mgr.register(keys.clone()).unwrap();
+        assert!(mgr.cached_key_bytes() > 0);
+        let b = mgr.register(keys).unwrap();
+        assert_eq!(mgr.evictions(), 1, "a full keyword cache evicts instead of refusing");
+        assert!(mgr.lookup(a).is_none() && mgr.lookup(b).is_some());
     }
 
     #[test]

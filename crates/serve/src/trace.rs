@@ -20,6 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use ive_pir::wire::StageReport;
+
 /// Number of log₂ buckets per stage histogram: bucket `i` counts
 /// durations in `[2^i, 2^(i+1))` microseconds; 32 buckets reach ~71
 /// minutes, far beyond any sane stage.
@@ -92,32 +94,75 @@ impl Stage {
     }
 }
 
-/// One stage's lock-free histogram.
+/// The lock-free log₂ duration histogram behind every latency and stage
+/// series: bucket `i` counts samples in `[2^i, 2^(i+1))` µs (the last
+/// bucket also takes everything longer), plus the sample count, sum and
+/// maximum.
 #[derive(Debug)]
-struct StageHist {
-    buckets: [AtomicU64; STAGE_BUCKETS],
+pub(crate) struct Log2Hist<const N: usize> {
+    buckets: [AtomicU64; N],
     count: AtomicU64,
     sum_us: AtomicU64,
     max_us: AtomicU64,
 }
 
-impl StageHist {
-    const fn new() -> Self {
-        StageHist {
-            buckets: [const { AtomicU64::new(0) }; STAGE_BUCKETS],
+impl<const N: usize> Log2Hist<N> {
+    pub(crate) const fn new() -> Self {
+        Log2Hist {
+            buckets: [const { AtomicU64::new(0) }; N],
             count: AtomicU64::new(0),
             sum_us: AtomicU64::new(0),
             max_us: AtomicU64::new(0),
         }
     }
 
-    fn record_us(&self, us: u64) {
-        let bucket = (us.max(1).ilog2() as usize).min(STAGE_BUCKETS - 1);
+    /// Records one sample.
+    pub(crate) fn record(&self, d: Duration) {
+        let us = duration_us(d);
+        let bucket = (us.max(1).ilog2() as usize).min(N - 1);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
     }
+
+    /// A point-in-time copy of the counters, in the wire layout.
+    pub(crate) fn report(&self) -> StageReport {
+        StageReport {
+            count: self.count.load(Ordering::Relaxed),
+            sum_us: self.sum_us.load(Ordering::Relaxed),
+            max_us: self.max_us.load(Ordering::Relaxed),
+            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+        }
+    }
+}
+
+/// The value (ms) below which `q` of a log₂ histogram's mass lies. Within
+/// the matching bucket the quantile is resolved by *geometric*
+/// interpolation — bucket `[2^i, 2^(i+1))` µs at rank fraction `f`
+/// yields `2^i · 2^f` — instead of the bucket's upper edge (which
+/// overstated the median by up to 2×). The clamp to the true observed
+/// maximum stays: a coarse bucket's interpolated value can still exceed
+/// every real sample.
+pub(crate) fn quantile_from_log2_buckets(buckets: &[u64], q: f64, max_ms: f64) -> f64 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let target = ((q * total as f64).ceil() as u64).clamp(1, total);
+    let mut seen = 0u64;
+    for (i, &count) in buckets.iter().enumerate() {
+        if count == 0 {
+            continue;
+        }
+        if seen + count >= target {
+            let lo_us = (1u128 << i) as f64;
+            let frac = (target - seen) as f64 / count as f64;
+            return (lo_us * 2f64.powf(frac) / 1000.0).min(max_ms);
+        }
+        seen += count;
+    }
+    max_ms
 }
 
 /// A point-in-time view of one stage's histogram.
@@ -237,7 +282,7 @@ fn duration_us(d: Duration) -> u64 {
 /// threaded through the handlers, the batcher, and the engine.
 #[derive(Debug)]
 pub struct TraceRecorder {
-    stages: [StageHist; Stage::COUNT],
+    stages: [Log2Hist<STAGE_BUCKETS>; Stage::COUNT],
     scan_bytes: AtomicU64,
     scan_ns: AtomicU64,
     slow_threshold_us: u64,
@@ -264,7 +309,7 @@ impl TraceRecorder {
     /// ring; the slow counter still counts).
     pub fn with_limits(slow_threshold: Duration, capacity: usize) -> Self {
         TraceRecorder {
-            stages: [const { StageHist::new() }; Stage::COUNT],
+            stages: [const { Log2Hist::new() }; Stage::COUNT],
             scan_bytes: AtomicU64::new(0),
             scan_ns: AtomicU64::new(0),
             slow_threshold_us: duration_us(slow_threshold),
@@ -281,7 +326,7 @@ impl TraceRecorder {
 
     /// Records one `stage` sample.
     pub fn record(&self, stage: Stage, d: Duration) {
-        self.stages[stage as usize].record_us(duration_us(d));
+        self.stages[stage as usize].record(d);
     }
 
     /// Starts a timer whose drop (or [`StageTimer::finish`]) records the
@@ -355,13 +400,13 @@ impl TraceRecorder {
         Stage::ALL
             .iter()
             .map(|&stage| {
-                let h = &self.stages[stage as usize];
+                let r = self.stages[stage as usize].report();
                 StageStats {
                     stage,
-                    count: h.count.load(Ordering::Relaxed),
-                    sum_us: h.sum_us.load(Ordering::Relaxed),
-                    max_us: h.max_us.load(Ordering::Relaxed),
-                    buckets: h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+                    count: r.count,
+                    sum_us: r.sum_us,
+                    max_us: r.max_us,
+                    buckets: r.buckets,
                 }
             })
             .collect()

@@ -407,6 +407,37 @@ fn keyword_service_compresses_responses() {
     assert_eq!(stats.errors, 0, "compressed keyword path failed: {stats}");
 }
 
+/// The keyword session cache is the same LRU cache as the index one: a
+/// third `KsHello` against a 2-slot cache evicts the stalest session
+/// instead of being refused, the eviction is counted, and the evicted
+/// (dialed, retrying) client's next `get` re-registers and still returns
+/// the right value.
+#[test]
+fn keyword_sessions_are_lru_evicted_and_recover() {
+    let params = ive_pir::kspir::KsPirParams::toy();
+    let store =
+        ive_pir::KvStore::build(&params, &[(b"alpha".to_vec(), 11), (b"beta".to_vec(), 22)])
+            .expect("table builds");
+    let config = ServeConfig { max_sessions: 2, ..ServeConfig::default() };
+    let (transport, connector) = in_proc_pair();
+    let service = PirService::start_keyword(config, &params, store, Box::new(transport))
+        .expect("keyword service starts");
+    let mut kvs: Vec<_> = (0..3u64)
+        .map(|i| {
+            Connection::dial(connector.clone())
+                .expect("dial")
+                .into_kv_client(&params, rand::rngs::StdRng::seed_from_u64(60 + i))
+                .expect("a full cache evicts instead of refusing the Hello")
+        })
+        .collect();
+    let first_session = kvs[0].session_id();
+    assert_eq!(kvs[0].get(b"alpha").expect("evicted client recovers"), Some(11));
+    assert_ne!(kvs[0].session_id(), first_session, "the client re-registered");
+    assert_eq!(kvs[2].get(b"beta").expect("get"), Some(22));
+    let stats = service.shutdown();
+    assert!(stats.session_evictions >= 2, "keyword evictions must be counted: {stats}");
+}
+
 /// Crash recovery end to end: batches fsync'd to the journal but never
 /// committed (the process died first) are replayed by the next
 /// [`PirService::start`], become visible to clients, and the recovered

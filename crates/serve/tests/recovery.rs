@@ -317,3 +317,100 @@ fn idle_connections_are_reaped_and_counted() {
     let stats = service.shutdown();
     assert!(stats.timeouts >= 1, "the reap must be counted: {stats}");
 }
+
+/// Pipelined recovery after an LRU eviction: a dialed client (default
+/// [`RetryPolicy`]) whose session two newer clients pushed out of a
+/// 2-slot cache submits several queries at once. Every one of them is
+/// refused with `unknown session`; the client must re-Hello once, treat
+/// the other queued refusals as belonging to the dead session (not as
+/// the Hello's answer), resubmit, and hand back every record exactly.
+#[test]
+fn pipelined_queries_recover_after_their_session_is_evicted() {
+    let params = PirParams::toy();
+    let (db, records) = toy_db(&params);
+    let config =
+        ServeConfig { window: Duration::from_millis(1), max_sessions: 2, ..ServeConfig::default() };
+    let (transport, connector) = in_proc_pair();
+    let service =
+        PirService::start(config, &params, db, Box::new(transport)).expect("service starts");
+
+    let mut a = Connection::dial(connector.clone())
+        .expect("dial a")
+        .into_serve_client(&params, rand::rngs::StdRng::seed_from_u64(11))
+        .expect("handshake a");
+    let first_session = a.session_id();
+    // `b` then `c` fill the 2-slot cache; `c` evicts `a`.
+    let _b = Connection::new(connector.connect().expect("dial b"))
+        .into_serve_client(&params, rand::rngs::StdRng::seed_from_u64(12))
+        .expect("handshake b");
+    let _c = Connection::new(connector.connect().expect("dial c"))
+        .into_serve_client(&params, rand::rngs::StdRng::seed_from_u64(13))
+        .expect("handshake c");
+
+    let targets = [4usize, 21, 50];
+    let ids: Vec<u64> = targets.iter().map(|&t| a.submit(t).expect("submit")).collect();
+    for _ in 0..targets.len() {
+        let (id, got) = a.next_record().expect("pipelined read survives the eviction");
+        let target = targets[ids.iter().position(|&i| i == id).expect("a submitted id")];
+        assert_eq!(&got[..records[target].len()], &records[target][..], "record {target}");
+    }
+    assert_eq!(a.in_flight(), 0);
+    assert_ne!(a.session_id(), first_session, "the client re-registered");
+
+    let stats = service.shutdown();
+    assert_eq!(stats.queries, targets.len() as u64, "each query answered once: {stats}");
+    assert!(stats.session_evictions >= 1, "the eviction must be counted: {stats}");
+}
+
+/// Overload recovery: a dialed client pipelines a burst far past a
+/// depth-1 admission queue. The shed queries come back as typed `Busy`
+/// rejections; the client backs off, resubmits them on the same
+/// connection and session, and every record still decodes exactly.
+#[test]
+fn busy_rejections_are_resubmitted_in_place() {
+    // D0 = 256 makes each answer (255 expansion key switches) far slower
+    // than building the next query, so the burst outruns the pipeline.
+    let params = PirParams::new(PirParams::toy().he().clone(), 256, 1).expect("valid geometry");
+    let (db, records) = toy_db(&params);
+    let config = ServeConfig {
+        window: Duration::ZERO,
+        max_batch: 1,
+        workers: 1,
+        queue_depth: 1,
+        rowsel_threads: 1,
+        ..ServeConfig::default()
+    };
+    let (transport, connector) = in_proc_pair();
+    let service =
+        PirService::start(config, &params, db, Box::new(transport)).expect("service starts");
+    // Each `next_record` may meet many shed resubmissions before its
+    // answer: a deep budget, and backoff long enough to let work drain.
+    let retry = RetryPolicy {
+        max_attempts: 64,
+        base_backoff: Duration::from_millis(5),
+        max_backoff: Duration::from_millis(200),
+        jitter_seed: 7,
+    };
+    let connection = Connection::dial(connector).expect("dial").with_retry(retry);
+    let counters = connection.retry_counters();
+    let mut client = connection
+        .into_serve_client(&params, rand::rngs::StdRng::seed_from_u64(21))
+        .expect("handshake");
+    let session = client.session_id();
+
+    let targets: Vec<usize> = (0..12).map(|i| (7 * i + 3) % records.len()).collect();
+    let ids: Vec<u64> = targets.iter().map(|&t| client.submit(t).expect("submit")).collect();
+    for _ in 0..targets.len() {
+        let (id, got) = client.next_record().expect("shed queries are resubmitted");
+        let target = targets[ids.iter().position(|&i| i == id).expect("a submitted id")];
+        assert_eq!(&got[..records[target].len()], &records[target][..], "record {target}");
+    }
+    assert_eq!(client.session_id(), session, "overload must not cost a re-Hello");
+    assert_eq!(counters.reconnects(), 0, "overload must not cost a re-dial");
+
+    let stats = service.shutdown();
+    assert_eq!(stats.queries, targets.len() as u64, "each query answered once: {stats}");
+    assert!(stats.busy_rejections >= 1, "a 12-deep burst into a depth-1 queue must shed: {stats}");
+    assert_eq!(counters.retries(), stats.busy_rejections, "one retry per shed query: {stats}");
+    println!("busy rejections: {}", stats.busy_rejections);
+}
